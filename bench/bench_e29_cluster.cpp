@@ -116,7 +116,7 @@ struct ClusterCell {
     std::uint64_t submitted = 0, accepted = 0, confirmed = 0;
     bool digests_agree = false;
     std::size_t clean_exits = 0;
-    double net_bytes_sent = 0, reconnects = 0;
+    double net_bytes_sent = 0, net_frames_sent = 0, reconnects = 0;
 };
 
 /// Poll every node until one simultaneous status round shows identical tips.
@@ -227,6 +227,7 @@ ClusterCell run_cluster_cell(core::ReplicaEngine engine, std::size_t nodes,
     if (cluster.alive(0)) {
         const std::string metrics = cluster.rpc(0).metrics_json();
         cell.net_bytes_sent = metric_from_json(metrics, "net_tcp_bytes_sent_total");
+        cell.net_frames_sent = metric_from_json(metrics, "net_tcp_frames_sent_total");
         cell.reconnects = metric_from_json(metrics, "net_tcp_reconnects_total");
     }
 
@@ -370,9 +371,11 @@ int main() {
                bench::fmt_int(kr.clean_exits)});
     table.print();
 
-    std::printf("\nnode-0 transport: %.0f bytes sent, %.0f reconnects "
-                "(nakamoto cell); killed node exit %d (expected %d)\n",
-                nk.net_bytes_sent, nk.reconnects, killed_exit, -SIGKILL);
+    std::printf("\nnode-0 transport: %.0f bytes / %.0f frames sent, %.0f reconnects "
+                "(nakamoto cell); %.0f frames sent (pbft cell); killed node exit "
+                "%d (expected %d)\n",
+                nk.net_bytes_sent, nk.net_frames_sent, nk.reconnects,
+                pb.net_frames_sent, killed_exit, -SIGKILL);
 
     run.metric("nakamoto_wall_tps", nk.tps);
     run.metric("nakamoto_wall_p50_s", nk.p50);
@@ -383,6 +386,7 @@ int main() {
     run.metric("nakamoto_digests_agree", static_cast<std::uint64_t>(nk.digests_agree));
     run.metric("nakamoto_clean_exits", static_cast<std::uint64_t>(nk.clean_exits));
     run.metric("nakamoto_net_bytes_sent", nk.net_bytes_sent);
+    run.metric("nakamoto_net_frames_sent", nk.net_frames_sent);
     run.metric("nakamoto_sim_tps", nk_sim.tps);
     run.metric("nakamoto_sim_p50_s", nk_sim.p50);
     run.metric("nakamoto_sim_p99_s", nk_sim.p99);
@@ -392,6 +396,7 @@ int main() {
     run.metric("pbft_confirmed", pb.confirmed);
     run.metric("pbft_digests_agree", static_cast<std::uint64_t>(pb.digests_agree));
     run.metric("pbft_clean_exits", static_cast<std::uint64_t>(pb.clean_exits));
+    run.metric("pbft_net_frames_sent", pb.net_frames_sent);
     run.metric("pbft_sim_tps", pb_sim.tps);
     run.metric("pbft_sim_p50_s", pb_sim.p50);
     run.metric("pbft_sim_p99_s", pb_sim.p99);

@@ -27,9 +27,10 @@ namespace {
 
 /// Ask the kernel for a currently free loopback port. The tiny window between
 /// closing this probe socket and the daemon binding it is acceptable for a
-/// single-host test harness (SO_REUSEADDR smooths over TIME_WAIT).
+/// single-host test harness (SO_REUSEADDR smooths over TIME_WAIT). The probe
+/// is close-on-exec so a daemon forked meanwhile cannot inherit it.
 std::uint16_t free_port() {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) throw Error("cluster: socket() failed");
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -52,6 +53,16 @@ double monotonic_now() {
 }
 
 } // namespace
+
+bool is_self_connected(int fd) {
+    sockaddr_in local{}, peer{};
+    socklen_t local_len = sizeof(local), peer_len = sizeof(peer);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_len) != 0 ||
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) != 0)
+        return false;
+    return local.sin_port == peer.sin_port &&
+           local.sin_addr.s_addr == peer.sin_addr.s_addr;
+}
 
 // --- RpcClient --------------------------------------------------------------
 
@@ -79,9 +90,10 @@ bool RpcClient::connect(const std::string& host, std::uint16_t port,
     addr.sin_port = htons(port);
     if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return false;
     while (monotonic_now() < deadline) {
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
         if (fd < 0) return false;
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+            !is_self_connected(fd)) {
             int one = 1;
             ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
             fd_ = fd;

@@ -39,7 +39,14 @@ struct NodeStatus {
     double clock = 0; // the daemon's transport clock (seconds since start)
 };
 
-/// Blocking frame-codec RPC connection to one daemon.
+/// True when a connected TCP socket's local address equals its peer address.
+/// A connect() to a loopback port nobody listens on yet can get that same
+/// port as its ephemeral source port, and TCP then connects the socket to
+/// itself; RpcClient::connect rejects such a connection and retries.
+bool is_self_connected(int fd);
+
+/// Blocking frame-codec RPC connection to one daemon. Its socket is opened
+/// close-on-exec, so daemons spawned later do not inherit it.
 class RpcClient {
 public:
     RpcClient() = default;
@@ -52,6 +59,8 @@ public:
     bool connect(const std::string& host, std::uint16_t port, double timeout_s);
     void close();
     bool connected() const { return fd_ >= 0; }
+    /// The connected socket, or -1.
+    int native_handle() const { return fd_; }
 
     /// True when the daemon's mempool accepted the transaction.
     bool submit(const ledger::Transaction& tx);

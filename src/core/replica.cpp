@@ -94,6 +94,11 @@ Replica::Replica(net::transport::Transport& transport, ReplicaConfig config)
                 seen_txs_.insert(tx.txid());
             }
 
+    // An own submission the pool sheds unconfirmed can no longer confirm
+    // here; forget it.
+    mempool_.set_drop_observer(
+        [this](const Hash256& txid, auto, auto) { submitted_at_.erase(txid); });
+
     transport_.set_handler(
         [this](PeerId from, const std::string& topic, ByteView payload) {
             try {
@@ -138,6 +143,10 @@ void Replica::arm_sync_timer() {
     });
 }
 
+bool Replica::full_mesh() const {
+    return transport_.peer_ids().size() + 1 == config_.node_count;
+}
+
 PeerId Replica::random_peer() {
     const auto peers = transport_.peer_ids();
     DLT_EXPECTS(!peers.empty());
@@ -149,7 +158,8 @@ bool Replica::submit_transaction(const Transaction& tx) {
     if (seen_txs_.contains(txid)) return false;
     if (!mempool_.add(tx, transport_.now())) return false;
     seen_txs_.insert(txid);
-    submitted_at_.emplace(txid, transport_.now());
+    submitted_at_.emplace(txid, OwnSubmission{transport_.now(), node_.height()});
+    repair_queue_.push_back(txid);
     transport_.broadcast("tx", ByteView(encode_to_bytes(tx)));
     return true;
 }
@@ -197,11 +207,25 @@ void Replica::connected(const Block& block) {
         seen_txs_.insert(txid); // a later relay must not re-admit it
         ++confirmed_txs_;
         if (const auto it = submitted_at_.find(txid); it != submitted_at_.end()) {
-            latencies_.push_back(t - it->second);
+            latencies_.push_back(t - it->second.at);
             submitted_at_.erase(it);
         }
     }
     mempool_.remove_confirmed(ids);
+    repair_left_out();
+}
+
+void Replica::repair_left_out() {
+    while (!repair_queue_.empty()) {
+        // Entries already confirmed or dropped are gone from submitted_at_.
+        const auto it = submitted_at_.find(repair_queue_.front());
+        if (it != submitted_at_.end()) {
+            if (it->second.height + 2 > node_.height()) return; // not due yet
+            if (const Transaction* tx = mempool_.find(it->first))
+                transport_.broadcast("txr", ByteView(encode_to_bytes(*tx)));
+        }
+        repair_queue_.pop_front();
+    }
 }
 
 void Replica::disconnected(const Block& block) {
@@ -219,7 +243,17 @@ void Replica::on_message(PeerId from, const std::string& topic, ByteView payload
         if (!running_) return;
         Transaction tx = decode_from_bytes<Transaction>(payload);
         if (!seen_txs_.insert(tx.txid()).second) return; // relay dedup
-        if (mempool_.add(tx, transport_.now()))
+        // In a full mesh the submitter's fan-out already reached every peer.
+        if (mempool_.add(tx, transport_.now()) && !full_mesh())
+            transport_.broadcast_except(from, "tx", payload);
+        return;
+    }
+    if (topic == "txr") { // repair: the submitter saw two blocks skip it
+        if (!running_) return;
+        Transaction tx = decode_from_bytes<Transaction>(payload);
+        const Hash256 txid = tx.txid();
+        if (seen_txs_.insert(txid).second) mempool_.add(tx, transport_.now());
+        if (mempool_.contains(txid))
             transport_.broadcast_except(from, "tx", payload);
         return;
     }

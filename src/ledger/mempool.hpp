@@ -147,6 +147,12 @@ public:
     std::size_t expire(SimTime now);
 
     bool contains(const Hash256& txid) const { return pool_.contains(txid); }
+    /// The resident transaction with this id, or null. Valid until the pool
+    /// is next mutated.
+    const Transaction* find(const Hash256& txid) const {
+        const auto it = pool_.find(txid);
+        return it != pool_.end() ? &it->second.tx : nullptr;
+    }
     std::size_t size() const { return pool_.size(); }
     bool empty() const { return pool_.empty(); }
     /// Serialized bytes across all entries (the memory bound's currency).

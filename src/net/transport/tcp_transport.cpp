@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -19,6 +20,12 @@
 namespace dlt::net::transport {
 
 namespace {
+
+/// The transport whose event loop runs on this thread (null on others).
+thread_local const TcpTransport* t_loop_owner = nullptr;
+
+/// iovecs per gathered write; a longer queue takes several sendmsg calls.
+constexpr std::size_t kMaxIov = 256;
 
 void set_nonblocking(int fd) {
     const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -161,7 +168,7 @@ bool TcpTransport::send(PeerId to, const std::string& topic, ByteView payload) {
         p->outq.push_back(std::move(framed));
         p->queue_gauge->set(static_cast<double>(p->outq_bytes));
     }
-    wake();
+    if (!on_loop_thread()) wake(); // the loop flushes at the end of its pass
     return true;
 }
 
@@ -177,7 +184,7 @@ TimerId TcpTransport::schedule_after(double delay_s, std::function<void()> fn) {
         id = next_timer_++;
         timers_[id] = Timer{now() + std::max(0.0, delay_s), std::move(fn)};
     }
-    wake();
+    if (!on_loop_thread()) wake();
     return id;
 }
 
@@ -191,7 +198,7 @@ void TcpTransport::post(std::function<void()> fn) {
         std::lock_guard lk(m_);
         posted_.push_back(std::move(fn));
     }
-    wake();
+    if (!on_loop_thread()) wake();
 }
 
 void TcpTransport::shutdown() {
@@ -202,6 +209,8 @@ void TcpTransport::shutdown() {
     std::lock_guard lk(join_m_);
     if (thread_.joinable()) thread_.join();
 }
+
+bool TcpTransport::on_loop_thread() const { return t_loop_owner == this; }
 
 void TcpTransport::wake() {
     if (wake_wr_ < 0) return;
@@ -224,6 +233,7 @@ void TcpTransport::loop() {
     std::vector<pollfd> pfds;
     std::vector<PeerId> poll_peers;  // pfds[2 + i] belongs to poll_peers[i]
     std::vector<int> poll_pending;   // then one entry per pending fd
+    t_loop_owner = this;
 
     while (!stopping_.load(std::memory_order_acquire)) {
         const double t = now();
@@ -243,20 +253,16 @@ void TcpTransport::loop() {
         poll_pending.clear();
         pfds.push_back({wake_rd_, POLLIN, 0});
         pfds.push_back({listen_fd_, POLLIN, 0});
+        for (auto& [id, p] : peers_) {
+            if (p.fd < 0) continue;
+            short events = POLLOUT; // a dial in flight completes on POLLOUT
+            if (p.state != ConnState::kConnecting)
+                events = p.write_blocked ? POLLIN | POLLOUT : POLLIN;
+            pfds.push_back({p.fd, events, 0});
+            poll_peers.push_back(id);
+        }
         {
             std::lock_guard lk(m_);
-            for (auto& [id, p] : peers_) {
-                if (p.fd < 0) continue;
-                short events = 0;
-                if (p.state == ConnState::kConnecting) {
-                    events = POLLOUT;
-                } else {
-                    events = POLLIN;
-                    if (!p.outq.empty()) events |= POLLOUT;
-                }
-                pfds.push_back({p.fd, events, 0});
-                poll_peers.push_back(id);
-            }
             if (!posted_.empty()) timeout_s = 0;
             for (const auto& [id, timer] : timers_)
                 timeout_s = std::min(timeout_s, std::max(0.0, timer.at - t));
@@ -288,7 +294,7 @@ void TcpTransport::loop() {
                 continue;
             }
             if (pf.revents & (POLLIN | POLLERR | POLLHUP)) read_peer(*p);
-            if (p->fd >= 0 && (pf.revents & POLLOUT)) flush_peer(*p);
+            if (pf.revents & POLLOUT) p->write_blocked = false;
         }
 
         // Pending sockets: match by fd (adoption/closure mutates pending_).
@@ -307,7 +313,9 @@ void TcpTransport::loop() {
 
         fire_due_timers();
         drain_posted();
+        flush_all();
     }
+    t_loop_owner = nullptr;
 
     // Teardown on the loop thread so no other thread ever races the sockets.
     for (auto& [id, p] : peers_) {
@@ -374,11 +382,8 @@ void TcpTransport::finish_dial(PeerState& p) {
     p.state = ConnState::kHandshake;
     p.decoder = FrameDecoder(config_.frame);
     p.saw_hello = false;
-    {
-        std::lock_guard lk(m_);
-        queue_hello_locked(p);
-    }
-    flush_peer(p);
+    std::lock_guard lk(m_);
+    queue_hello_locked(p);
 }
 
 void TcpTransport::queue_hello_locked(PeerState& p) {
@@ -410,6 +415,7 @@ void TcpTransport::close_conn(PeerState& p) {
         ready_count_.fetch_sub(1, std::memory_order_relaxed);
     p.state = ConnState::kDown;
     p.saw_hello = false;
+    p.write_blocked = false;
     p.decoder = FrameDecoder(config_.frame);
     {
         std::lock_guard lk(m_);
@@ -446,6 +452,9 @@ void TcpTransport::read_peer(PeerState& p) {
                 close_conn(p);
                 return;
             }
+            // A short read drained the socket; poll() is level-triggered, so
+            // bytes that arrive later are read on the next pass.
+            if (static_cast<std::size_t>(n) < sizeof(buf)) return;
             continue;
         }
         if (n == 0) {
@@ -503,29 +512,60 @@ void TcpTransport::drain_peer_frames(PeerState& p) {
     }
 }
 
+void TcpTransport::flush_all() {
+    for (auto& [id, p] : peers_)
+        if (p.fd >= 0 && p.state != ConnState::kConnecting && !p.write_blocked)
+            flush_peer(p);
+}
+
 void TcpTransport::flush_peer(PeerState& p) {
     bool broken = false;
     {
         std::lock_guard lk(m_);
+        iovec iov[kMaxIov];
         while (!p.outq.empty()) {
-            const Bytes& front = p.outq.front();
-            const ssize_t n = ::send(p.fd, front.data() + p.front_off,
-                                     front.size() - p.front_off, MSG_NOSIGNAL);
-            if (n > 0) {
-                bytes_sent_->inc(static_cast<std::uint64_t>(n));
-                p.front_off += static_cast<std::size_t>(n);
-                if (p.front_off == front.size()) {
-                    frames_sent_->inc();
-                    p.outq_bytes -= front.size();
-                    p.outq.pop_front();
-                    p.front_off = 0;
-                }
-                continue;
+            std::size_t count = 0, want = 0;
+            for (auto it = p.outq.begin(); it != p.outq.end() && count < kMaxIov;
+                 ++it, ++count) {
+                const std::size_t off = count == 0 ? p.front_off : 0;
+                iov[count].iov_base = const_cast<std::uint8_t*>(it->data() + off);
+                iov[count].iov_len = it->size() - off;
+                want += it->size() - off;
             }
-            if (n < 0 && errno == EINTR) continue;
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-            broken = true;
-            break;
+            msghdr msg{};
+            msg.msg_iov = iov;
+            msg.msg_iovlen = count;
+            const ssize_t n = ::sendmsg(p.fd, &msg, MSG_NOSIGNAL);
+            if (n < 0) {
+                if (errno == EINTR) continue;
+                if (errno == EAGAIN || errno == EWOULDBLOCK)
+                    p.write_blocked = true;
+                else
+                    broken = true;
+                break;
+            }
+            bytes_sent_->inc(static_cast<std::uint64_t>(n));
+            // Retire the frames this write completed; a partial frame stays
+            // at the front with its written prefix in front_off.
+            std::size_t left = static_cast<std::size_t>(n);
+            std::uint64_t completed = 0;
+            while (left > 0) {
+                const std::size_t rest = p.outq.front().size() - p.front_off;
+                if (left < rest) {
+                    p.front_off += left;
+                    break;
+                }
+                left -= rest;
+                p.outq_bytes -= p.outq.front().size();
+                p.outq.pop_front();
+                p.front_off = 0;
+                ++completed;
+            }
+            frames_sent_->inc(completed);
+            if (static_cast<std::size_t>(n) < want) {
+                p.write_blocked = true; // short write: the socket buffer is full
+                break;
+            }
         }
         p.queue_gauge->set(static_cast<double>(p.outq_bytes));
     }
@@ -596,9 +636,7 @@ void TcpTransport::adopt_pending(Pending& pd, PeerId id) {
     } catch (const DecodeError&) {
         decode_errors_->inc();
         close_conn(p);
-        return;
     }
-    if (p.fd >= 0) flush_peer(p);
 }
 
 void TcpTransport::fire_due_timers() {

@@ -3,7 +3,12 @@
 // the config. A single event-loop thread owns all I/O:
 //
 //   - non-blocking TCP sockets multiplexed with poll(); a self-pipe wakes the
-//     loop for cross-thread send()/post()/timer arming
+//     loop for cross-thread send()/post()/timer arming (calls made on the loop
+//     thread skip it: the loop rebuilds its poll set before it sleeps again)
+//   - one gathered write per peer per loop pass: every frame queued during
+//     the pass (by handlers, timers, posted work or other threads) leaves in
+//     a single sendmsg() over the queue; POLLOUT is only polled for a peer
+//     whose socket buffer filled up
 //   - the lower-id side of every pair *accepts*, the higher-id side *dials*
 //     (deterministic single connection per pair with no simultaneous-open
 //     races); a HELLO exchange (frame.hpp) identifies the peer before any
@@ -117,6 +122,7 @@ private:
         std::deque<Bytes> outq; // framed bytes awaiting write
         std::size_t outq_bytes = 0;
         std::size_t front_off = 0; // partially written prefix of outq.front()
+        bool write_blocked = false; // last write hit EAGAIN; wait for POLLOUT
         double backoff_s = 0;
         double retry_at = 0; // loop-clock deadline for the next dial
         obs::Gauge* queue_gauge = nullptr; // net_tcp_send_queue_bytes{peer}
@@ -141,6 +147,9 @@ private:
     void read_peer(PeerState& p);
     void drain_peer_frames(PeerState& p);
     void flush_peer(PeerState& p);
+    /// End-of-pass write: one gathered flush per writable peer with a queue.
+    void flush_all();
+    bool on_loop_thread() const;
     /// Reads a pending socket; returns false when it should be dropped from
     /// pending_ (closed, or its fd was adopted by a peer).
     bool read_pending(Pending& pd);

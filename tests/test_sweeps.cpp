@@ -145,6 +145,10 @@ struct VmCase {
     std::uint64_t expected;
 };
 
+// Print a case by its name. The default byte dump shows the string pointers, which
+// change with every run under ASLR and end up in the test names ctest discovers.
+void PrintTo(const VmCase& test_case, std::ostream* os) { *os << test_case.name; }
+
 class VmArithmetic : public ::testing::TestWithParam<VmCase> {};
 
 class SinkHost : public contract::HostInterface {

@@ -1,13 +1,23 @@
 // The real-transport deployment mode (E29): wire framing fuzzed through
 // truncation and corruption, the socket transport's delivery / reconnect /
-// backpressure behaviour, sim-vs-socket delivery equivalence, replicas
-// converging over the sim backend, and the dlt-node daemon's graceful
-// SIGTERM path observed from the outside (clean exit, zero-replay reopen).
+// backpressure behaviour and its gathered write path, sim-vs-socket delivery
+// equivalence, replicas converging over the sim backend, the replica's tx
+// relay policy and repair, the cluster harness's socket hygiene, and the
+// dlt-node daemon's graceful SIGTERM path observed from the outside (clean
+// exit, zero-replay reopen).
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <thread>
 
 #include "app/cluster.hpp"
@@ -355,6 +365,255 @@ TEST(TcpTransport, BackpressureDropsWhenPeerUnreachable) {
     EXPECT_LE(accepted, 5); // ~4 KB cap over ~1 KB frames
 }
 
+// --- Gathered writes ---------------------------------------------------------
+
+namespace {
+
+/// `size` bytes that all encode the frame's index in its stream, so the
+/// receiver can check both position and content of each frame.
+Bytes patterned(std::size_t index, std::size_t size) {
+    return Bytes(size, static_cast<std::uint8_t>(index * 31 + 7));
+}
+
+bool is_patterned(ByteView body, std::size_t index, std::size_t size) {
+    const auto want = static_cast<std::uint8_t>(index * 31 + 7);
+    return body.size() == size &&
+           std::all_of(body.begin(), body.end(), [&](std::uint8_t b) { return b == want; });
+}
+
+} // namespace
+
+// A handler queues a burst of mixed sizes (1 B .. 4 MB) in one loop pass
+// while two other threads send concurrently. The 4 MB frames overflow the
+// socket buffer, so the gathered writes end mid-frame and resume on POLLOUT;
+// every stream must still arrive whole and in order.
+TEST(TcpTransport, GatheredWritesKeepOrderAcrossSizesAndThreads) {
+    const std::vector<std::size_t> burst = {1,       4u << 20, 17,  65536, 1,
+                                            300'001, 4u << 20, 5,   1u << 20,
+                                            2,       123'457,  999, 1};
+    constexpr std::size_t kThreadFrames = 300;
+    const auto thread_size = [](std::size_t i) { return 1 + (i * 7919) % 20'000; };
+
+    auto config0 = tcp_config(0, {{1, "127.0.0.1", 0}});
+    config0.max_queue_bytes_per_peer = 64u << 20;
+    TcpTransport t0(config0);
+    TcpTransport t1(tcp_config(1, {{0, "127.0.0.1", t0.listen_port()}}));
+
+    std::atomic<bool> go{false};
+    t0.set_handler([&](PeerId from, const std::string& topic, ByteView) {
+        if (topic != "go") return;
+        go = true;
+        for (std::size_t i = 0; i < burst.size(); ++i)
+            EXPECT_TRUE(t0.send(from, "burst", ByteView(patterned(i, burst[i]))));
+    });
+    std::map<std::string, std::size_t> next; // per-topic expected index
+    std::atomic<std::size_t> received{0};
+    std::atomic<bool> in_order{true};
+    t1.set_handler([&](PeerId, const std::string& topic, ByteView body) {
+        std::size_t& i = next[topic];
+        const std::size_t size = topic == "burst" ? (i < burst.size() ? burst[i] : 0)
+                                                  : thread_size(i);
+        if (!is_patterned(body, i, size)) in_order = false;
+        ++i;
+        ++received;
+    });
+    t0.start();
+    t1.start();
+    ASSERT_TRUE(eventually(5.0, [&] {
+        return t0.connected_peers() == 1 && t1.connected_peers() == 1;
+    }));
+
+    const auto sender = [&](const std::string& topic) {
+        while (!go) std::this_thread::yield();
+        for (std::size_t i = 0; i < kThreadFrames; ++i)
+            EXPECT_TRUE(t0.send(1, topic, ByteView(patterned(i, thread_size(i)))));
+    };
+    std::thread a(sender, "thread-a"), b(sender, "thread-b");
+    EXPECT_TRUE(t1.send(0, "go", ByteView()));
+    a.join();
+    b.join();
+
+    const std::size_t total = burst.size() + 2 * kThreadFrames;
+    ASSERT_TRUE(eventually(30.0, [&] { return received == total; }));
+    EXPECT_TRUE(in_order);
+    t0.shutdown();
+    t1.shutdown();
+    EXPECT_EQ(next["burst"], burst.size());
+    EXPECT_EQ(next["thread-a"], kThreadFrames);
+    EXPECT_EQ(next["thread-b"], kThreadFrames);
+}
+
+namespace {
+
+/// Wait up to `timeout_s` for `fd` to become readable.
+bool readable(int fd, double timeout_s) {
+    pollfd pfd{fd, POLLIN, 0};
+    return ::poll(&pfd, 1, static_cast<int>(timeout_s * 1000)) == 1;
+}
+
+/// Play peer 0 by hand on an accepted socket: read the dialer's HELLO and
+/// answer with ours. Returns false on timeout or a malformed first frame.
+bool raw_handshake(int fd, FrameDecoder& decoder) {
+    std::uint8_t buf[4096];
+    while (true) {
+        if (auto frame = decoder.next()) {
+            if (frame->kind != FrameKind::kHello) return false;
+            const Bytes hello = encode_hello_frame(0);
+            return ::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL) ==
+                   static_cast<ssize_t>(hello.size());
+        }
+        if (!readable(fd, 5.0)) return false;
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0) return false;
+        decoder.feed(ByteView(buf, static_cast<std::size_t>(n)));
+    }
+}
+
+/// Read message frames until `done` holds for the last index seen; collects
+/// the "burst" indices (first 4 payload bytes) in arrival order.
+void raw_read_until(int fd, FrameDecoder& decoder, std::vector<std::uint32_t>& got,
+                    const std::function<bool()>& done) {
+    std::uint8_t buf[65536];
+    while (!done()) {
+        while (auto frame = decoder.next()) {
+            const WireMessage msg = decode_message_payload(ByteView(frame->payload));
+            Reader r{ByteView(msg.body).subspan(0, 4)};
+            got.push_back(r.u32());
+            if (done()) return;
+        }
+        if (!readable(fd, 5.0)) return;
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0) return;
+        decoder.feed(ByteView(buf, static_cast<std::size_t>(n)));
+    }
+}
+
+/// Bind `fd` to an ephemeral loopback port and return the bound address
+/// (port 0 on failure).
+sockaddr_in bind_loopback(int fd) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
+        addr.sin_port = 0;
+    return addr;
+}
+
+bool connect_to(int fd, const sockaddr_in& addr) {
+    return ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0;
+}
+
+int accept_within(int listen_fd, double timeout_s) {
+    if (!readable(listen_fd, timeout_s)) return -1;
+    return ::accept(listen_fd, nullptr, nullptr);
+}
+
+} // namespace
+
+// The receiver vanishes while the sender is blocked mid-frame with a backlog.
+// Only the half-written frame may be dropped from the queue: the rest flushes,
+// in order and starting on a frame boundary, after the dialer reconnects.
+TEST(TcpTransport, CloseMidBurstDropsOnlyTheHalfWrittenFrame) {
+    const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listen_fd, 0);
+    // A fixed small receive buffer (inherited by accepted sockets) keeps the
+    // bytes in flight far below the burst, so the sender blocks mid-burst.
+    const int rcvbuf = 256 << 10;
+    ::setsockopt(listen_fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    const sockaddr_in addr = bind_loopback(listen_fd);
+    ASSERT_NE(addr.sin_port, 0);
+    ASSERT_EQ(::listen(listen_fd, 4), 0);
+
+    TcpTransport t1(tcp_config(1, {{0, "127.0.0.1", ntohs(addr.sin_port)}}));
+    t1.set_handler([](PeerId, const std::string&, ByteView) {});
+    t1.start();
+
+    const int conn1 = accept_within(listen_fd, 5.0);
+    ASSERT_GE(conn1, 0);
+    FrameDecoder dec1;
+    ASSERT_TRUE(raw_handshake(conn1, dec1));
+    ASSERT_TRUE(eventually(5.0, [&] { return t1.connected_peers() == 1; }));
+
+    // Odd-sized frames, so the point where the socket buffer fills is never
+    // a frame boundary in practice.
+    constexpr std::uint32_t kFrames = 24;
+    constexpr std::size_t kFrameBytes = 500'001;
+    const std::uint64_t sent_before = counter_value("net_tcp_frames_sent_total");
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+        Bytes body(kFrameBytes, 0xAB);
+        Writer w;
+        w.u32(i);
+        std::copy(w.data().begin(), w.data().end(), body.begin());
+        ASSERT_TRUE(t1.send(0, "burst", ByteView(body)));
+    }
+
+    // Take a few frames, then stop reading until the sender is stuck on a
+    // full buffer, and reset the connection under it.
+    std::vector<std::uint32_t> first;
+    raw_read_until(conn1, dec1, first, [&] { return first.size() >= 2; });
+    ASSERT_EQ(first, (std::vector<std::uint32_t>{0, 1}));
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const linger reset{1, 0};
+    ::setsockopt(conn1, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+    ::close(conn1);
+
+    const int conn2 = accept_within(listen_fd, 10.0);
+    ASSERT_GE(conn2, 0);
+    FrameDecoder dec2;
+    ASSERT_TRUE(raw_handshake(conn2, dec2));
+    std::vector<std::uint32_t> second;
+    raw_read_until(conn2, dec2, second,
+                   [&] { return !second.empty() && second.back() == kFrames - 1; });
+    t1.shutdown();
+    ::close(conn2);
+    ::close(listen_fd);
+
+    ASSERT_FALSE(second.empty());
+    EXPECT_EQ(second.back(), kFrames - 1);
+    for (std::size_t i = 1; i < second.size(); ++i)
+        EXPECT_EQ(second[i], second[i - 1] + 1) << "gap after reconnect";
+    // Frames written whole: everything up to the cut (some of it lost in
+    // the reset socket's buffers) plus the reconnect's suffix. Exactly one
+    // queued frame, the half-written one, was never written whole.
+    const std::uint64_t reconnect_hello = 1;
+    const std::uint64_t whole =
+        counter_value("net_tcp_frames_sent_total") - sent_before - reconnect_hello;
+    EXPECT_EQ(whole, kFrames - 1);
+    EXPECT_EQ(whole - second.size(), second.front() - 1);
+}
+
+// Nothing but a timer drives this sender: the frames it queues on the loop
+// thread (which skips the self-pipe wake) must still leave on that pass.
+TEST(TcpTransport, TimerOnlySenderDelivers) {
+    TcpTransport t0(tcp_config(0, {{1, "127.0.0.1", 0}}));
+    TcpTransport t1(tcp_config(1, {{0, "127.0.0.1", t0.listen_port()}}));
+    std::atomic<int> timer_frames{0}, posted_frames{0};
+    t0.set_handler([&](PeerId, const std::string& topic, ByteView) {
+        ++(topic == "timer" ? timer_frames : posted_frames);
+    });
+    t1.set_handler([](PeerId, const std::string&, ByteView) {});
+    t0.start();
+    t1.start();
+    ASSERT_TRUE(eventually(5.0, [&] {
+        return t0.connected_peers() == 1 && t1.connected_peers() == 1;
+    }));
+
+    constexpr int kTicks = 5;
+    int ticks = 0;
+    std::function<void()> tick = [&] {
+        t1.send(0, "timer", ByteView());
+        t1.post([&] { t1.send(0, "posted", ByteView()); });
+        if (++ticks < kTicks) t1.schedule_after(0.02, tick);
+    };
+    t1.schedule_after(0.02, tick);
+    ASSERT_TRUE(eventually(5.0, [&] {
+        return timer_frames == kTicks && posted_frames == kTicks;
+    }));
+    t1.shutdown();
+}
+
 // --- Sim vs socket equivalence (the E29 contract) ----------------------------
 
 // The same broadcast sequence, delivered over the deterministic sim backend
@@ -447,7 +706,8 @@ TEST(TransportEquivalence, BroadcastSequenceSameDigestsSimAndTcp) {
 
 namespace {
 
-ledger::Transaction record_tx(std::uint64_t sender, std::uint64_t nonce) {
+ledger::Transaction record_tx(std::uint64_t sender, std::uint64_t nonce,
+                              ledger::Amount fee = 100) {
     ledger::Transaction tx;
     tx.kind = ledger::TxKind::kRecord;
     tx.sender_pubkey.assign(8, 0);
@@ -455,7 +715,7 @@ ledger::Transaction record_tx(std::uint64_t sender, std::uint64_t nonce) {
         tx.sender_pubkey[i] = static_cast<std::uint8_t>((sender >> (8 * i)) & 0xFF);
     tx.nonce = nonce;
     tx.data = Bytes(48, static_cast<std::uint8_t>(nonce));
-    tx.declared_fee = 100;
+    tx.declared_fee = fee;
     return tx;
 }
 
@@ -528,6 +788,198 @@ TEST(ReplicaSim, PbftConvergesOverSimTransport) {
         EXPECT_EQ(replicas[i]->height(), replicas[0]->height());
     }
     EXPECT_EQ(replicas[0]->confirmed_txs(), 15u);
+}
+
+// An own submission the pool sheds unconfirmed must not stay tracked as
+// awaiting confirmation.
+TEST(ReplicaSim, EvictedOwnSubmissionIsForgotten) {
+    TempDir dirs("replica-evict");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(9));
+    SimTransportHub hub(network, 1);
+    core::ReplicaConfig config;
+    config.node_count = 1;
+    config.data_dir = dirs.path / "n0";
+    config.mempool.max_count = 2;
+    core::Replica replica(hub.endpoint(0), config);
+
+    EXPECT_TRUE(replica.submit_transaction(record_tx(1, 0, 100)));
+    EXPECT_TRUE(replica.submit_transaction(record_tx(2, 0, 200)));
+    EXPECT_TRUE(replica.submit_transaction(record_tx(3, 0, 300))); // evicts fee 100
+    EXPECT_EQ(replica.mempool_size(), 2u);
+    EXPECT_EQ(replica.pending_submissions(), 2u);
+}
+
+// --- Relay policy over the sim backend ----------------------------------------
+
+namespace {
+
+/// Transport decorator that counts sends per topic — what the replica puts
+/// on the network, before any loss.
+class CountingTransport final : public Transport {
+public:
+    CountingTransport(Transport& inner, std::map<std::string, int>& sends)
+        : inner_(inner), sends_(sends) {}
+    PeerId local_id() const override { return inner_.local_id(); }
+    std::vector<PeerId> peer_ids() const override { return inner_.peer_ids(); }
+    void set_handler(Handler handler) override { inner_.set_handler(std::move(handler)); }
+    bool send(PeerId to, const std::string& topic, ByteView payload) override {
+        ++sends_[topic];
+        return inner_.send(to, topic, payload);
+    }
+    double now() const override { return inner_.now(); }
+    TimerId schedule_after(double delay_s, std::function<void()> fn) override {
+        return inner_.schedule_after(delay_s, std::move(fn));
+    }
+    bool cancel_timer(TimerId id) override { return inner_.cancel_timer(id); }
+    void post(std::function<void()> fn) override { inner_.post(std::move(fn)); }
+    void shutdown() override { inner_.shutdown(); }
+
+private:
+    Transport& inner_;
+    std::map<std::string, int>& sends_;
+};
+
+/// N PBFT replicas over `hub`, every send counted into `sends`.
+struct RelayCluster {
+    std::vector<std::unique_ptr<CountingTransport>> transports;
+    std::vector<std::unique_ptr<core::Replica>> replicas;
+
+    RelayCluster(SimTransportHub& hub, const std::filesystem::path& dir,
+                 std::map<std::string, int>& sends, double block_interval) {
+        for (std::uint32_t id = 0; id < hub.node_count(); ++id) {
+            transports.push_back(
+                std::make_unique<CountingTransport>(hub.endpoint(id), sends));
+            core::ReplicaConfig config;
+            config.engine = core::ReplicaEngine::kPbft;
+            config.node_count = static_cast<std::uint32_t>(hub.node_count());
+            config.block_interval = block_interval;
+            config.data_dir = dir / ("n" + std::to_string(id));
+            replicas.push_back(
+                std::make_unique<core::Replica>(*transports.back(), config));
+        }
+        for (auto& r : replicas) r->start();
+    }
+};
+
+} // namespace
+
+// In a full mesh the submitter's own fan-out reaches every replica, so a tx
+// costs exactly one "tx" message per peer and nobody echoes it.
+TEST(ReplicaRelay, FullMeshSendsOneTxMessagePerPeer) {
+    TempDir dirs("relay-mesh");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(11));
+    SimTransportHub hub(network, 4);
+    network.build_full_mesh();
+    std::map<std::string, int> sends;
+    RelayCluster cluster(hub, dirs.path, sends, /*block_interval=*/1000.0);
+
+    constexpr int kTxs = 6;
+    for (int i = 0; i < kTxs; ++i)
+        scheduler.schedule_after(0.1 * i, [&, i] {
+            cluster.replicas[i % 4]->submit_transaction(record_tx(40 + i, 0));
+        });
+    scheduler.run_until(5.0);
+
+    EXPECT_EQ(sends["tx"], 3 * kTxs);
+    EXPECT_EQ(sends["txr"], 0);
+    for (const auto& r : cluster.replicas) EXPECT_EQ(r->mempool_size(), std::size_t{kTxs});
+}
+
+// A partial mesh keeps flooding: a tx submitted at one end of a line reaches
+// the mempool at the other end.
+TEST(ReplicaRelay, LineTopologyReachesEveryMempool) {
+    TempDir dirs("relay-line");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(12));
+    SimTransportHub hub(network, 4);
+    for (net::NodeId id = 0; id + 1 < 4; ++id) network.connect(id, id + 1);
+    std::map<std::string, int> sends;
+    RelayCluster cluster(hub, dirs.path, sends, /*block_interval=*/1000.0);
+
+    scheduler.schedule_after(0.1, [&] {
+        cluster.replicas[0]->submit_transaction(record_tx(50, 0));
+    });
+    scheduler.run_until(5.0);
+
+    for (const auto& r : cluster.replicas) EXPECT_EQ(r->mempool_size(), 1u);
+    EXPECT_EQ(sends["tx"], 3); // 0->1, 1->2, 2->3
+}
+
+// PBFT with only the submitter<->primary link cut: the submitter's fan-out
+// never reaches the primary and, in a full mesh, nobody relays it. After two
+// blocks leave the tx out, the "txr" repair routes it through a backup and
+// it confirms. Without the repair the tx would never reach a block.
+TEST(ReplicaRelay, PbftRepairRoutesAroundCutSubmitterPrimaryLink) {
+    TempDir dirs("relay-repair");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(13));
+    SimTransportHub hub(network, 4);
+    network.build_full_mesh();
+    network.partition("cut", {{0}, {1}}); // only 0 <-> 1 is cut
+    std::map<std::string, int> sends;
+    RelayCluster cluster(hub, dirs.path, sends, /*block_interval=*/0.5);
+
+    // Background load at the backups keeps the primary proposing blocks.
+    for (int i = 0; i < 30; ++i)
+        scheduler.schedule_after(0.3 * i, [&, i] {
+            cluster.replicas[2 + i % 2]->submit_transaction(record_tx(60 + i, 0));
+        });
+    scheduler.schedule_after(1.0, [&] {
+        cluster.replicas[1]->submit_transaction(record_tx(99, 0));
+    });
+    scheduler.run_until(20.0);
+    for (auto& r : cluster.replicas) r->stop();
+    scheduler.run_until(21.0);
+
+    const core::Replica& submitter = *cluster.replicas[1];
+    EXPECT_EQ(submitter.pending_submissions(), 0u);
+    EXPECT_EQ(submitter.confirmation_latencies().size(), 1u);
+    EXPECT_GT(sends["txr"], 0);
+    EXPECT_EQ(cluster.replicas[0]->confirmed_txs(), 31u);
+    EXPECT_EQ(submitter.tip(), cluster.replicas[0]->tip());
+}
+
+// --- Cluster harness sockets ---------------------------------------------------
+
+// RpcClient sockets are close-on-exec, so daemons the driver spawns later do
+// not inherit (and pin) another daemon's RPC connection.
+TEST(Cluster, RpcClientSocketIsCloseOnExec) {
+    const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listen_fd, 0);
+    const sockaddr_in addr = bind_loopback(listen_fd);
+    ASSERT_NE(addr.sin_port, 0);
+    ASSERT_EQ(::listen(listen_fd, 1), 0);
+
+    app::RpcClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", ntohs(addr.sin_port), 2.0));
+    EXPECT_TRUE(::fcntl(client.native_handle(), F_GETFD) & FD_CLOEXEC);
+    client.close();
+    ::close(listen_fd);
+}
+
+// A socket that connects to its own bound port (what a probe gets when the
+// kernel picks the target port as its source port) is recognised, so
+// RpcClient::connect can reject it; an ordinary connection is not.
+TEST(Cluster, SelfConnectIsDetected) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const sockaddr_in own = bind_loopback(fd);
+    ASSERT_NE(own.sin_port, 0);
+    ASSERT_TRUE(connect_to(fd, own));
+    EXPECT_TRUE(app::is_self_connected(fd));
+    ::close(fd);
+
+    const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const sockaddr_in addr = bind_loopback(listen_fd);
+    ASSERT_NE(addr.sin_port, 0);
+    ASSERT_EQ(::listen(listen_fd, 1), 0);
+    const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_TRUE(connect_to(client, addr));
+    EXPECT_FALSE(app::is_self_connected(client));
+    ::close(client);
+    ::close(listen_fd);
 }
 
 // --- Daemon lifecycle through ClusterDriver (satellite: graceful shutdown) ---
