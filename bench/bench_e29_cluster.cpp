@@ -394,6 +394,8 @@ int main() {
     run.metric("pbft_wall_p50_s", pb.p50);
     run.metric("pbft_wall_p99_s", pb.p99);
     run.metric("pbft_confirmed", pb.confirmed);
+    run.metric("pbft_submitted", pb.submitted);
+    run.metric("pbft_accepted", pb.accepted);
     run.metric("pbft_digests_agree", static_cast<std::uint64_t>(pb.digests_agree));
     run.metric("pbft_clean_exits", static_cast<std::uint64_t>(pb.clean_exits));
     run.metric("pbft_net_frames_sent", pb.net_frames_sent);

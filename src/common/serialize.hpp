@@ -28,6 +28,10 @@ public:
 
     /// Bitcoin CompactSize: 1, 3, 5, or 9 bytes depending on magnitude.
     void varint(std::uint64_t v);
+    /// The number of bytes varint(v) writes.
+    static std::size_t varint_size(std::uint64_t v) {
+        return v < 0xFD ? 1 : v <= 0xFFFF ? 3 : v <= 0xFFFFFFFF ? 5 : 9;
+    }
 
     void bytes(ByteView data) { append(buf_, data); }
 

@@ -16,6 +16,12 @@ using net::transport::PeerId;
 
 namespace {
 
+// Own submissions wait in a batch for at most a 64th of the block interval,
+// and never longer than 5 ms: long enough for a busy node to merge several
+// txs into one frame per peer, short against any block's confirmation time.
+constexpr double kBatchWindowDivisor = 64.0;
+constexpr double kBatchWindowCapS = 0.005;
+
 PersistentNodeOptions node_options(const ReplicaConfig& config) {
     PersistentNodeOptions options;
     options.state_engine = config.state_engine;
@@ -61,7 +67,36 @@ Bytes encode_hash(const Hash256& hash) {
     return std::move(w).take();
 }
 
+/// Decode a whole "txs"/"txr" payload; throws DecodeError on any defect
+/// (including a payload over `limit`), so a malformed batch yields no tx.
+std::vector<Transaction> decode_tx_batch(ByteView payload, std::size_t limit) {
+    if (payload.size() > limit) throw DecodeError("tx batch exceeds block size");
+    Reader r(payload);
+    std::vector<Transaction> txs = ledger::decode_tx_list(r);
+    r.expect_done();
+    return txs;
+}
+
 } // namespace
+
+bool Replica::TxBatch::fits(std::size_t encoded_bytes, std::size_t limit) const {
+    return Writer::varint_size(count_ + 1) + body_.size() + encoded_bytes <= limit;
+}
+
+void Replica::TxBatch::add(ByteView encoded) {
+    append(body_, encoded);
+    ++count_;
+}
+
+Bytes Replica::TxBatch::take() {
+    Writer w;
+    w.reserve(Writer::varint_size(count_) + body_.size());
+    w.varint(count_);
+    w.bytes(ByteView(body_));
+    body_.clear();
+    count_ = 0;
+    return std::move(w).take();
+}
 
 Replica::Replica(net::transport::Transport& transport, ReplicaConfig config)
     : transport_(transport),
@@ -122,6 +157,7 @@ void Replica::start() {
 }
 
 void Replica::stop() {
+    flush_own(); // acknowledged submissions still leave the node
     if (!running_) return;
     running_ = false;
     if (mining_timer_) transport_.cancel_timer(*mining_timer_);
@@ -135,10 +171,12 @@ void Replica::stop() {
 void Replica::arm_sync_timer() {
     sync_timer_ = transport_.schedule_after(config_.sync_interval, [this] {
         if (!running_) return;
-        if (config_.engine == ReplicaEngine::kNakamoto)
+        if (config_.engine == ReplicaEngine::kNakamoto) {
             nk_sync_probe();
-        else
+        } else {
             pbft_sync_probe();
+            repair_left_out(); // an idle PBFT cluster connects no block
+        }
         arm_sync_timer();
     });
 }
@@ -156,12 +194,50 @@ PeerId Replica::random_peer() {
 bool Replica::submit_transaction(const Transaction& tx) {
     const Hash256 txid = tx.txid();
     if (seen_txs_.contains(txid)) return false;
+    const Bytes encoded = encode_to_bytes(tx);
+    // No batch, and so no block, could carry it.
+    if (!TxBatch{}.fits(encoded.size(), config_.max_block_bytes)) return false;
     if (!mempool_.add(tx, transport_.now())) return false;
     seen_txs_.insert(txid);
-    submitted_at_.emplace(txid, OwnSubmission{transport_.now(), node_.height()});
+    submitted_at_.emplace(txid, transport_.now());
     repair_queue_.push_back(txid);
-    transport_.broadcast("tx", ByteView(encode_to_bytes(tx)));
+
+    if (!own_batch_.fits(encoded.size(), config_.max_block_bytes)) flush_own();
+    own_batch_.add(ByteView(encoded));
+    if (!running_) {
+        flush_own(); // stopped (or not started): no timer would send it
+    } else if (!batch_timer_) {
+        const double window =
+            std::min(config_.block_interval / kBatchWindowDivisor, kBatchWindowCapS);
+        batch_timer_ = transport_.schedule_after(window, [this] {
+            batch_timer_.reset();
+            flush_own();
+        });
+    }
     return true;
+}
+
+void Replica::flush_own() {
+    if (batch_timer_) transport_.cancel_timer(*batch_timer_);
+    batch_timer_.reset();
+    if (!own_batch_.empty()) transport_.broadcast("txs", ByteView(own_batch_.take()));
+}
+
+void Replica::receive_batch(PeerId from, ByteView payload, bool repair) {
+    TxBatch onward;
+    // In a full mesh the submitter's fan-out already reached every peer, so
+    // only a repair is forwarded there.
+    const bool relay = !full_mesh();
+    for (const Transaction& tx : decode_tx_batch(payload, config_.max_block_bytes)) {
+        const Hash256 txid = tx.txid();
+        const bool admitted =
+            seen_txs_.insert(txid).second && mempool_.add(tx, transport_.now());
+        if (repair ? mempool_.contains(txid) : admitted && relay)
+            onward.add(ByteView(encode_to_bytes(tx)));
+    }
+    // A subset of a batch never outgrows it, so `onward` fits the limit too.
+    if (!onward.empty())
+        transport_.broadcast_except(from, "txs", ByteView(onward.take()));
 }
 
 ledger::Block Replica::assemble_block() {
@@ -207,7 +283,7 @@ void Replica::connected(const Block& block) {
         seen_txs_.insert(txid); // a later relay must not re-admit it
         ++confirmed_txs_;
         if (const auto it = submitted_at_.find(txid); it != submitted_at_.end()) {
-            latencies_.push_back(t - it->second.at);
+            latencies_.push_back(t - it->second);
             submitted_at_.erase(it);
         }
     }
@@ -216,16 +292,24 @@ void Replica::connected(const Block& block) {
 }
 
 void Replica::repair_left_out() {
+    TxBatch due;
+    const double now = transport_.now();
     while (!repair_queue_.empty()) {
         // Entries already confirmed or dropped are gone from submitted_at_.
         const auto it = submitted_at_.find(repair_queue_.front());
         if (it != submitted_at_.end()) {
-            if (it->second.height + 2 > node_.height()) return; // not due yet
-            if (const Transaction* tx = mempool_.find(it->first))
-                transport_.broadcast("txr", ByteView(encode_to_bytes(*tx)));
+            if (now - it->second < 2 * config_.block_interval)
+                break; // not due yet, and neither is anything queued later
+            if (const Transaction* tx = mempool_.find(it->first)) {
+                const Bytes encoded = encode_to_bytes(*tx);
+                if (!due.fits(encoded.size(), config_.max_block_bytes))
+                    transport_.broadcast("txr", ByteView(due.take()));
+                due.add(ByteView(encoded));
+            }
         }
         repair_queue_.pop_front();
     }
+    if (!due.empty()) transport_.broadcast("txr", ByteView(due.take()));
 }
 
 void Replica::disconnected(const Block& block) {
@@ -239,22 +323,8 @@ void Replica::disconnected(const Block& block) {
 }
 
 void Replica::on_message(PeerId from, const std::string& topic, ByteView payload) {
-    if (topic == "tx") {
-        if (!running_) return;
-        Transaction tx = decode_from_bytes<Transaction>(payload);
-        if (!seen_txs_.insert(tx.txid()).second) return; // relay dedup
-        // In a full mesh the submitter's fan-out already reached every peer.
-        if (mempool_.add(tx, transport_.now()) && !full_mesh())
-            transport_.broadcast_except(from, "tx", payload);
-        return;
-    }
-    if (topic == "txr") { // repair: the submitter saw two blocks skip it
-        if (!running_) return;
-        Transaction tx = decode_from_bytes<Transaction>(payload);
-        const Hash256 txid = tx.txid();
-        if (seen_txs_.insert(txid).second) mempool_.add(tx, transport_.now());
-        if (mempool_.contains(txid))
-            transport_.broadcast_except(from, "tx", payload);
+    if (topic == "txs" || topic == "txr") { // "txr": the submitter's repair
+        if (running_) receive_batch(from, payload, topic == "txr");
         return;
     }
 
@@ -282,7 +352,6 @@ void Replica::on_message(PeerId from, const std::string& topic, ByteView payload
     if (topic == "pp") {
         if (!running_ || from != 0 || pbft_primary()) return;
         auto [seq, block] = decode_seq_block(payload);
-        max_seen_seq_ = std::max(max_seen_seq_, seq);
         if (seq <= node_.height()) return; // already committed
         PbftRound& round = rounds_[seq];
         if (!round.block) {
@@ -293,7 +362,6 @@ void Replica::on_message(PeerId from, const std::string& topic, ByteView payload
     } else if (topic == "prep" || topic == "cmt") {
         if (!running_) return;
         const auto [seq, hash] = decode_seq_hash(payload);
-        max_seen_seq_ = std::max(max_seen_seq_, seq);
         if (seq <= node_.height()) return;
         PbftRound& round = rounds_[seq];
         // Honest-cluster simplification: votes are tallied per sequence
@@ -317,7 +385,6 @@ void Replica::on_message(PeerId from, const std::string& topic, ByteView payload
     } else if (topic == "seq") {
         if (!running_) return;
         auto [seq, block] = decode_seq_block(payload);
-        max_seen_seq_ = std::max(max_seen_seq_, seq);
         // Catch-up: a committed block straight from a peer's canonical chain.
         if (seq != node_.height() + 1 || block.header.prev_hash != node_.tip())
             return;

@@ -20,19 +20,28 @@
 //     backup catches up by requesting committed blocks by sequence number —
 //     the path the E29 kill-and-restart cell exercises.
 //
-// Transaction relay. A replica sends each of its own submissions to every
-// peer ("tx"). In a full mesh (peer_ids().size() + 1 == node_count) that
-// fan-out already reaches every replica, so a received "tx" is admitted and
-// not relayed: 3 frames per tx on 4 nodes instead of the flood's 9. Partial
-// meshes keep flooding (admit, then relay to every peer but the sender).
-// Repair: when a replica has connected two blocks since it admitted one of
-// its own submissions, and the tx is still in its mempool, it sends the tx
-// once as "txr". A peer receiving "txr" admits the tx if it is new and, if
-// the tx is then in its mempool, forwards it once as "tx" to every peer but
-// the sender — so a cut submitter<->producer link is routed around in one
-// hop, at most another 9 frames (the old flood's cost). The trigger counts
-// blocks, so a PBFT cluster that proposes nothing else waits for the next
-// block before the repair fires.
+// Transaction relay. Txs travel in batches: a "txs" payload is a varint count
+// followed by the txs' own encodings (a block's tx-list layout), and every
+// gossip path uses that one codec. A replica's own submissions collect in a
+// pending batch; the first one arms a timer, and the batch goes to every peer
+// when it fires, min(block_interval / 64, 5 ms) later, or earlier once it
+// would outgrow max_block_bytes. stop() sends a pending batch, and a
+// submission to a stopped replica leaves at once, so a tx already
+// acknowledged to its client still leaves the node. A received batch
+// is decoded whole before anything in it is admitted (a malformed one is
+// dropped), then each tx goes through the seen-set and the mempool. In a full
+// mesh (peer_ids().size() + 1 == node_count) the submitter's fan-out already
+// reaches every replica, so nothing is relayed: 3 frames per batch on 4
+// nodes. Partial meshes keep flooding: the admitted subset goes on as one
+// "txs" to every peer but the sender.
+// Repair: an own submission still in the mempool is due once it has waited
+// 2 * block_interval, about two blocks' time. Due txs go out once, together,
+// as a "txr" batch. A peer admits the ones that are new and forwards the part
+// that is then in its mempool as one "txs" to every peer but the sender, so a
+// cut submitter<->producer link is routed around in one hop. The check runs
+// after every connected block and, for PBFT, on every sync tick too: a PBFT
+// cluster with nothing else to propose connects no block, and the repair
+// must not wait for one.
 //
 // Durability comes from core::PersistentNode: every connect/disconnect is
 // WAL-journaled under ReplicaConfig::data_dir, so a SIGKILLed replica reopens
@@ -101,13 +110,15 @@ public:
 
     /// Arm the engine timers (mining / proposal / catch-up probes).
     void start();
-    /// Cancel timers and stop reacting to messages. The durable node needs no
-    /// flush — every connect was WAL-committed when it happened.
+    /// Send the pending own-submission batch, cancel timers and stop reacting
+    /// to messages. The durable node needs no flush — every connect was
+    /// WAL-committed when it happened.
     void stop();
 
     /// Inject a locally submitted transaction: mempool admission, gossip to
-    /// every peer, and lifecycle stamping for confirmation latency.
-    /// Returns false when the mempool refused it.
+    /// every peer in the next batch, and lifecycle stamping for confirmation
+    /// latency. Returns false when the mempool refused it, or when it alone
+    /// outgrows max_block_bytes (no batch, and so no block, can carry it).
     bool submit_transaction(const ledger::Transaction& tx);
 
     // --- Inspection (transport thread, or any thread after stop()) -----------
@@ -135,8 +146,12 @@ private:
     void arm_sync_timer();
     /// Every configured replica is a direct peer (the relay policy's switch).
     bool full_mesh() const;
-    /// Send "txr" for own submissions that two connected blocks left out.
+    /// Send own submissions that are due for repair as "txr" batches.
     void repair_left_out();
+    /// Send the pending own-submission batch (if any) to every peer.
+    void flush_own();
+    /// Admit a received "txs"/"txr" batch and relay or forward its share.
+    void receive_batch(net::transport::PeerId from, ByteView payload, bool repair);
 
     // Nakamoto ---------------------------------------------------------------
     void nk_handle_block(const ledger::Block& block, net::transport::PeerId from,
@@ -157,7 +172,6 @@ private:
         std::set<net::transport::PeerId> commits;
         bool sent_prepare = false;
         bool sent_commit = false;
-        bool executed = false;
     };
     bool pbft_primary() const { return transport_.local_id() == 0; }
     std::size_t pbft_quorum() const {
@@ -187,21 +201,35 @@ private:
 
     // PBFT round state.
     std::map<std::uint64_t, PbftRound> rounds_;
-    std::uint64_t max_seen_seq_ = 0;
     std::optional<net::transport::TimerId> propose_timer_;
 
     std::optional<net::transport::TimerId> sync_timer_;
     bool running_ = false;
 
-    // Locally submitted transactions awaiting confirmation: admission time
-    // (for latency) and chain height at admission (for the repair trigger).
-    struct OwnSubmission {
-        double at = 0;
-        std::uint64_t height = 0;
+    /// Tx gossip batch under construction: the txs' encodings back to back.
+    /// Every sender checks fits() first, so no payload that take() returns
+    /// exceeds max_block_bytes.
+    class TxBatch {
+    public:
+        /// Whether one more tx of `encoded_bytes` keeps the payload <= limit.
+        bool fits(std::size_t encoded_bytes, std::size_t limit) const;
+        void add(ByteView encoded);
+        bool empty() const { return count_ == 0; }
+        /// The wire payload (varint count, then the txs); empties the batch.
+        Bytes take();
+
+    private:
+        Bytes body_;
+        std::uint64_t count_ = 0;
     };
-    std::unordered_map<Hash256, OwnSubmission> submitted_at_;
-    /// Own submissions in admission order; each is checked once for repair,
-    /// two blocks after its admission height.
+    TxBatch own_batch_;
+    std::optional<net::transport::TimerId> batch_timer_;
+
+    // Locally submitted transactions awaiting confirmation, by admission time
+    // (for latency and the repair trigger).
+    std::unordered_map<Hash256, double> submitted_at_;
+    /// Own submissions in admission order; each is checked for repair once,
+    /// when it falls due.
     std::deque<Hash256> repair_queue_;
     /// Every txid ever admitted, relayed, or seen on a connected block. The
     /// simulator's gossip overlay deduplicates deliveries at the overlay

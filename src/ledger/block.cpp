@@ -68,10 +68,16 @@ void Block::encode(Writer& w) const {
 Block Block::decode(Reader& r) {
     Block b;
     b.header = BlockHeader::decode(r);
-    const std::uint64_t n = r.varint_count(24); // minimal transaction envelope
-    b.txs.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) b.txs.push_back(Transaction::decode(r));
+    b.txs = decode_tx_list(r);
     return b;
+}
+
+std::vector<Transaction> decode_tx_list(Reader& r) {
+    const std::uint64_t n = r.varint_count(kMinTxBytes);
+    std::vector<Transaction> txs;
+    txs.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) txs.push_back(Transaction::decode(r));
+    return txs;
 }
 
 std::size_t Block::serialized_size() const {

@@ -66,6 +66,14 @@ struct Block {
     std::size_t serialized_size() const;
 };
 
+/// Lower bound on one encoded transaction (a minimal envelope); a tx list's
+/// count is checked against it before anything is allocated.
+inline constexpr std::size_t kMinTxBytes = 24;
+
+/// Decode a tx list as a block body carries it: a varint count, then each
+/// tx's encoding back to back. Replicas gossip txs in the same layout.
+std::vector<Transaction> decode_tx_list(Reader& r);
+
 /// The deterministic genesis block for a chain tagged by `chain_tag`.
 Block make_genesis(std::string_view chain_tag, std::uint32_t initial_bits);
 

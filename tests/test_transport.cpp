@@ -22,6 +22,7 @@
 
 #include "app/cluster.hpp"
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "core/persistent_node.hpp"
 #include "core/replica.hpp"
 #include "crypto/sha256.hpp"
@@ -865,7 +866,8 @@ struct RelayCluster {
 } // namespace
 
 // In a full mesh the submitter's own fan-out reaches every replica, so a tx
-// costs exactly one "tx" message per peer and nobody echoes it.
+// costs exactly one "txs" message per peer and nobody echoes it. Submissions
+// 0.1 s apart each leave in their own batch.
 TEST(ReplicaRelay, FullMeshSendsOneTxMessagePerPeer) {
     TempDir dirs("relay-mesh");
     sim::Scheduler scheduler;
@@ -882,9 +884,58 @@ TEST(ReplicaRelay, FullMeshSendsOneTxMessagePerPeer) {
         });
     scheduler.run_until(5.0);
 
-    EXPECT_EQ(sends["tx"], 3 * kTxs);
+    EXPECT_EQ(sends["txs"], 3 * kTxs);
     EXPECT_EQ(sends["txr"], 0);
     for (const auto& r : cluster.replicas) EXPECT_EQ(r->mempool_size(), std::size_t{kTxs});
+}
+
+// Submissions that arrive within one batch window share a single "txs"
+// message per peer.
+TEST(ReplicaRelay, BurstLeavesAsOneBatchPerPeer) {
+    TempDir dirs("relay-burst");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(14));
+    SimTransportHub hub(network, 4);
+    network.build_full_mesh();
+    std::map<std::string, int> sends;
+    RelayCluster cluster(hub, dirs.path, sends, /*block_interval=*/1000.0);
+
+    constexpr int kTxs = 25;
+    scheduler.schedule_after(0.1, [&] {
+        for (int i = 0; i < kTxs; ++i)
+            EXPECT_TRUE(cluster.replicas[0]->submit_transaction(record_tx(200 + i, 0)));
+    });
+    scheduler.run_until(5.0);
+
+    EXPECT_EQ(sends["txs"], 3);
+    EXPECT_EQ(sends["txr"], 0);
+    for (const auto& r : cluster.replicas) EXPECT_EQ(r->mempool_size(), std::size_t{kTxs});
+}
+
+// stop() sends the pending batch: a submission acknowledged just before the
+// node stops (and its transport shuts down, as in the daemon) still reaches
+// every peer. So does one acknowledged between stop() and the shutdown, which
+// the daemon's RPC thread can still deliver.
+TEST(ReplicaRelay, StopSendsThePendingBatch) {
+    TempDir dirs("relay-stop");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(15));
+    SimTransportHub hub(network, 4);
+    network.build_full_mesh();
+    std::map<std::string, int> sends;
+    RelayCluster cluster(hub, dirs.path, sends, /*block_interval=*/1000.0);
+
+    scheduler.schedule_after(0.1, [&] {
+        ASSERT_TRUE(cluster.replicas[0]->submit_transaction(record_tx(300, 0)));
+        cluster.replicas[0]->stop();
+        ASSERT_TRUE(cluster.replicas[0]->submit_transaction(record_tx(301, 0)));
+        hub.endpoint(0).shutdown();
+    });
+    scheduler.run_until(5.0);
+
+    EXPECT_EQ(sends["txs"], 6);
+    for (std::size_t i = 1; i < cluster.replicas.size(); ++i)
+        EXPECT_EQ(cluster.replicas[i]->mempool_size(), 2u);
 }
 
 // A partial mesh keeps flooding: a tx submitted at one end of a line reaches
@@ -904,13 +955,13 @@ TEST(ReplicaRelay, LineTopologyReachesEveryMempool) {
     scheduler.run_until(5.0);
 
     for (const auto& r : cluster.replicas) EXPECT_EQ(r->mempool_size(), 1u);
-    EXPECT_EQ(sends["tx"], 3); // 0->1, 1->2, 2->3
+    EXPECT_EQ(sends["txs"], 3); // 0->1, 1->2, 2->3
 }
 
 // PBFT with only the submitter<->primary link cut: the submitter's fan-out
-// never reaches the primary and, in a full mesh, nobody relays it. After two
-// blocks leave the tx out, the "txr" repair routes it through a backup and
-// it confirms. Without the repair the tx would never reach a block.
+// never reaches the primary and, in a full mesh, nobody relays it. Once the
+// tx has waited two block intervals, the "txr" repair routes it through a
+// backup and it confirms. Without the repair it would never reach a block.
 TEST(ReplicaRelay, PbftRepairRoutesAroundCutSubmitterPrimaryLink) {
     TempDir dirs("relay-repair");
     sim::Scheduler scheduler;
@@ -939,6 +990,93 @@ TEST(ReplicaRelay, PbftRepairRoutesAroundCutSubmitterPrimaryLink) {
     EXPECT_GT(sends["txr"], 0);
     EXPECT_EQ(cluster.replicas[0]->confirmed_txs(), 31u);
     EXPECT_EQ(submitter.tip(), cluster.replicas[0]->tip());
+}
+
+// The same cut with no other load: the primary has nothing to propose, so no
+// block ever connects. The repair falls due by time on the sync tick instead,
+// and the lone tx still confirms everywhere.
+TEST(ReplicaRelay, PbftRepairFiresWithoutOtherLoad) {
+    TempDir dirs("relay-repair-idle");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(16));
+    SimTransportHub hub(network, 4);
+    network.build_full_mesh();
+    network.partition("cut", {{0}, {1}});
+    std::map<std::string, int> sends;
+    RelayCluster cluster(hub, dirs.path, sends, /*block_interval=*/0.5);
+
+    scheduler.schedule_after(1.0, [&] {
+        cluster.replicas[1]->submit_transaction(record_tx(98, 0));
+    });
+    scheduler.run_until(20.0);
+    for (auto& r : cluster.replicas) r->stop();
+    scheduler.run_until(21.0);
+
+    const core::Replica& submitter = *cluster.replicas[1];
+    EXPECT_GT(sends["txr"], 0);
+    EXPECT_EQ(submitter.pending_submissions(), 0u);
+    EXPECT_EQ(submitter.confirmation_latencies().size(), 1u);
+    for (const auto& r : cluster.replicas) {
+        EXPECT_EQ(r->confirmed_txs(), 1u);
+        EXPECT_EQ(r->tip(), submitter.tip());
+    }
+}
+
+// A malformed "txs"/"txr" payload (truncated anywhere, a count beyond its
+// bytes, trailing bytes) admits nothing, relays nothing and leaves the
+// replica serving: the next valid batch is admitted whole. The replica is
+// node 1 of a 4-node line, a partial mesh, so whatever it admitted from node
+// 0 it would relay to node 2, and a forwarded repair would go there too.
+TEST(ReplicaRelay, MalformedBatchesAdmitNothing) {
+    TempDir dirs("relay-malformed");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(17));
+    SimTransportHub hub(network, 4);
+    for (net::NodeId id = 0; id + 1 < 4; ++id) network.connect(id, id + 1);
+    std::map<std::string, int> sends;
+    CountingTransport counted(hub.endpoint(1), sends);
+    core::ReplicaConfig config;
+    config.engine = core::ReplicaEngine::kPbft;
+    config.node_count = 4;
+    config.block_interval = 1000.0;
+    config.data_dir = dirs.path / "n1";
+    core::Replica replica(counted, config);
+    replica.start();
+
+    constexpr std::uint64_t kTxs = 3;
+    Bytes body;
+    for (std::uint64_t i = 0; i < kTxs; ++i)
+        append(body, encode_to_bytes(record_tx(400 + i, 0)));
+    const auto batch = [&](std::uint64_t count, ByteView tail) {
+        Writer w;
+        w.varint(count);
+        w.bytes(ByteView(tail));
+        return std::move(w).take();
+    };
+    const Bytes valid = batch(kTxs, ByteView(body));
+
+    std::vector<Bytes> malformed;
+    for (std::size_t len = 0; len < valid.size(); ++len)
+        malformed.emplace_back(valid.begin(),
+                               valid.begin() + static_cast<std::ptrdiff_t>(len));
+    malformed.push_back(batch(1'000, ByteView(body)));   // count beyond the bytes
+    malformed.push_back(batch(kTxs + 1, ByteView(body))); // one tx short
+    Bytes trailing = valid;
+    trailing.push_back(0);
+    malformed.push_back(trailing);
+
+    Transport& peer = hub.endpoint(0);
+    for (const Bytes& payload : malformed)
+        for (const char* topic : {"txs", "txr"}) peer.send(1, topic, ByteView(payload));
+    scheduler.run_until(1.0);
+    EXPECT_EQ(replica.mempool_size(), 0u);
+    EXPECT_EQ(sends["txs"], 0);
+
+    peer.send(1, "txs", ByteView(valid));
+    scheduler.run_until(2.0);
+    EXPECT_EQ(replica.mempool_size(), std::size_t{kTxs});
+    EXPECT_EQ(sends["txs"], 1); // the valid batch goes on to node 2 as one
+    replica.stop();
 }
 
 // --- Cluster harness sockets ---------------------------------------------------
