@@ -1,6 +1,7 @@
 // E17 — §2.4 (PBFT fault model): a 3f+1 cluster commits with up to f faulty
 // replicas, changes views away from a crashed or equivocating primary, and
-// stalls safely (no divergence) beyond f faults.
+// stalls safely (no divergence) beyond f faults. Exits non-zero when a row
+// breaks that claim.
 #include "bench_util.hpp"
 #include "common/serialize.hpp"
 #include "consensus/pbft.hpp"
@@ -76,8 +77,16 @@ int main() {
     };
 
     std::uint64_t seed = 1700;
+    bool claim_holds = true;
     for (const auto& scenario : scenarios) {
         const Result r = run(scenario.f, scenario.faults, seed++);
+        const bool beyond_f = scenario.faults.size() > scenario.f;
+        if (!r.consistent || r.executed != (beyond_f ? 0u : 200u)) {
+            std::fprintf(stderr, "E17 claim broken: %s executed %zu/200%s\n",
+                         scenario.name.c_str(), r.executed,
+                         r.consistent ? "" : ", logs diverged");
+            claim_holds = false;
+        }
         table.row({bench::fmt_int(3 * scenario.f + 1), bench::fmt_int(scenario.f),
                    scenario.name, bench::fmt_int(r.executed),
                    r.consistent ? "yes" : "NO", bench::fmt_int(r.views),
@@ -89,5 +98,5 @@ int main() {
                 "requests (primary faults after a view change); the beyond-f "
                 "scenario executes 0 but stays consistent — safety over "
                 "liveness.\n");
-    return 0;
+    return claim_holds ? 0 : 1;
 }

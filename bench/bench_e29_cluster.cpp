@@ -9,8 +9,9 @@
 //      live ClusterDriver cluster (Nakamoto and PBFT engines), measuring
 //      confirmed tps and submit→inclusion latency percentiles from the
 //      daemons' own lifecycle stamps,
-//   3. runs the matching virtual-time simulation (NakamotoNetwork /
-//      PbftCluster) over the same demand shape as the prediction baseline,
+//   3. replays the same trace through the same core::Replica code over a
+//      full-mesh SimTransportHub (virtual time, same ReplicaConfig) as the
+//      prediction, so the sim-to-wall gap measures only the transport,
 //   4. SIGKILLs one node mid-run, restarts it on its old data dir and ports,
 //      and requires it to rejoin: WAL/LSM recovery plus protocol catch-up
 //      until its tip digest agrees with the cluster.
@@ -24,10 +25,8 @@
 #include "app/cluster.hpp"
 #include "app/workload.hpp"
 #include "bench_util.hpp"
-#include "common/serialize.hpp"
-#include "consensus/nakamoto.hpp"
-#include "consensus/pbft.hpp"
-#include "obs/txlifecycle.hpp"
+#include "core/replica.hpp"
+#include "net/transport/sim_transport.hpp"
 
 using namespace dlt;
 
@@ -116,7 +115,7 @@ struct ClusterCell {
     std::uint64_t submitted = 0, accepted = 0, confirmed = 0;
     bool digests_agree = false;
     std::size_t clean_exits = 0;
-    double net_bytes_sent = 0, net_frames_sent = 0, reconnects = 0;
+    double net_bytes_sent = 0, net_frames_sent = 0, reconnects = 0, view_changes = 0;
 };
 
 /// Poll every node until one simultaneous status round shows identical tips.
@@ -148,18 +147,11 @@ bool await_digest_agreement(app::ClusterDriver& cluster, double timeout_s) {
 /// Replay `trace` against a live cluster at wall-clock pace; when
 /// `kill_rejoin` is set, SIGKILL the highest-id node a third of the way in
 /// and restart it at two thirds, requiring recovery + catch-up.
-ClusterCell run_cluster_cell(core::ReplicaEngine engine, std::size_t nodes,
-                             double block_interval,
+ClusterCell run_cluster_cell(const app::ClusterConfig& config,
                              const std::vector<TraceHost::Entry>& trace,
-                             const std::filesystem::path& work_dir,
                              bool kill_rejoin, double settle_timeout_s,
                              int* rejoin_exit = nullptr) {
-    app::ClusterConfig config;
-    config.node_count = nodes;
-    config.engine = engine;
-    config.block_interval = block_interval;
-    config.work_dir = work_dir;
-    config.chain_tag = "e29";
+    const std::size_t nodes = config.node_count;
     app::ClusterDriver cluster(config);
     cluster.start();
 
@@ -229,6 +221,7 @@ ClusterCell run_cluster_cell(core::ReplicaEngine engine, std::size_t nodes,
         cell.net_bytes_sent = metric_from_json(metrics, "net_tcp_bytes_sent_total");
         cell.net_frames_sent = metric_from_json(metrics, "net_tcp_frames_sent_total");
         cell.reconnects = metric_from_json(metrics, "net_tcp_reconnects_total");
+        cell.view_changes = metric_from_json(metrics, "pbft_view_changes_total");
     }
 
     for (const int code : cluster.stop_all())
@@ -236,7 +229,7 @@ ClusterCell run_cluster_cell(core::ReplicaEngine engine, std::size_t nodes,
     return cell;
 }
 
-// --- Simulation baselines ----------------------------------------------------
+// --- Simulation prediction ---------------------------------------------------
 
 struct SimCell {
     double tps = 0;
@@ -244,55 +237,48 @@ struct SimCell {
     std::uint64_t confirmed = 0;
 };
 
-SimCell run_nakamoto_sim(std::size_t nodes, double block_interval, double tps,
-                         double duration, std::uint64_t seed) {
-    consensus::NakamotoParams params;
-    params.node_count = nodes;
-    params.block_interval = block_interval;
-    params.chain_tag = "e29-sim";
-    // Match the daemon's ReplicaConfig: unsigned record txs, skip sig checks.
-    params.validation.sig_mode = ledger::SigCheckMode::kSkip;
-    consensus::NakamotoNetwork net(params, seed);
-    net.start();
-    app::WorkloadParams wp;
-    wp.population = 10'000;
-    wp.base_tps = tps;
-    wp.submit_nodes = static_cast<std::uint32_t>(nodes);
-    app::WorkloadEngine engine(net, wp, seed);
-    engine.start();
-    net.run_for(duration);
-    engine.stop();
-    net.run_for(10.0 * block_interval); // drain in-flight confirmations
-
-    SimCell cell;
-    cell.confirmed = net.confirmed_tx_count();
-    cell.tps = bench::rate_per_sec(static_cast<double>(cell.confirmed), duration);
-    const auto lat = net.lifecycle().latencies(obs::TxStage::kSubmitted,
-                                               obs::TxStage::kIncluded);
-    cell.p50 = percentile(lat, 0.50);
-    cell.p99 = percentile(lat, 0.99);
-    return cell;
-}
-
-SimCell run_pbft_sim(const std::vector<TraceHost::Entry>& trace,
-                     double duration, std::uint64_t seed) {
-    consensus::PbftConfig config;
-    config.f = 1; // n = 4, the cluster size
-    consensus::PbftCluster cluster(config, seed);
-    for (const auto& entry : trace) {
-        if (entry.at > cluster.now())
-            cluster.run_for(entry.at - cluster.now());
-        cluster.submit(encode_to_bytes(entry.tx));
+/// The cluster's nodes as in-process core::Replicas over a full-mesh
+/// SimTransportHub: the ReplicaConfig dlt-node builds from `config`, fresh
+/// data dirs under `work_dir`, and the trace replayed in virtual time.
+SimCell run_replica_sim(const app::ClusterConfig& config,
+                        const std::vector<TraceHost::Entry>& trace, double duration,
+                        double drain) {
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(config.seed));
+    net::transport::SimTransportHub hub(network, config.node_count);
+    network.build_full_mesh();
+    std::vector<std::unique_ptr<core::Replica>> replicas;
+    for (std::uint32_t id = 0; id < config.node_count; ++id) {
+        core::ReplicaConfig rc; // what dlt-node's flags set (ClusterDriver)
+        rc.engine = config.engine;
+        rc.node_count = static_cast<std::uint32_t>(config.node_count);
+        rc.block_interval = config.block_interval;
+        rc.seed = config.seed;
+        rc.state_engine =
+            config.lsm_state ? core::StateEngine::kPersistent : core::StateEngine::kInMemory;
+        rc.chain_tag = config.chain_tag;
+        rc.sync_interval = config.sync_interval;
+        rc.data_dir = config.work_dir / ("n" + std::to_string(id));
+        replicas.push_back(std::make_unique<core::Replica>(hub.endpoint(id), rc));
     }
-    cluster.run_for(5.0); // drain
+    for (auto& r : replicas) r->start();
+    for (const auto& entry : trace)
+        scheduler.schedule_at(entry.at, [&replicas, &entry] {
+            replicas[entry.node % replicas.size()]->submit_transaction(entry.tx);
+        });
+    scheduler.run_until(duration + drain);
+    for (auto& r : replicas) r->stop();
 
     SimCell cell;
-    cell.confirmed = cluster.executed_requests(0);
+    std::vector<double> latencies;
+    for (const auto& r : replicas) {
+        cell.confirmed = std::max(cell.confirmed, r->confirmed_txs());
+        const auto& lat = r->confirmation_latencies();
+        latencies.insert(latencies.end(), lat.begin(), lat.end());
+    }
     cell.tps = bench::rate_per_sec(static_cast<double>(cell.confirmed), duration);
-    const auto lat = cluster.lifecycle().latencies(obs::TxStage::kSubmitted,
-                                                   obs::TxStage::kIncluded);
-    cell.p50 = percentile(lat, 0.50);
-    cell.p99 = percentile(lat, 0.99);
+    cell.p50 = percentile(latencies, 0.50);
+    cell.p99 = percentile(latencies, 0.99);
     return cell;
 }
 
@@ -330,52 +316,57 @@ int main() {
     TempDir dirs("work");
     bench::Table table({"cell", "engine", "confirmed", "tps", "p50 s", "p99 s",
                         "digests", "clean exits"});
+    const auto cluster_config = [&](core::ReplicaEngine engine, const std::string& dir) {
+        app::ClusterConfig config;
+        config.node_count = nodes;
+        config.engine = engine;
+        config.block_interval = interval;
+        config.work_dir = dirs.path / dir;
+        config.chain_tag = "e29";
+        return config;
+    };
+    const auto cluster_row = [&](const char* cell, const char* engine,
+                                 const ClusterCell& c) {
+        table.row({cell, engine, bench::fmt_int(c.confirmed), bench::fmt(c.tps, 1),
+                   bench::fmt(c.p50, 3), bench::fmt(c.p99, 3),
+                   c.digests_agree ? "agree" : "DISAGREE", bench::fmt_int(c.clean_exits)});
+    };
+    const auto sim_row = [&](const char* engine, const SimCell& c) {
+        table.row({"sim", engine, bench::fmt_int(c.confirmed), bench::fmt(c.tps, 1),
+                   bench::fmt(c.p50, 3), bench::fmt(c.p99, 3), "-", "-"});
+    };
 
-    // Cell 1: Nakamoto over sockets vs the NakamotoNetwork prediction.
-    const ClusterCell nk = run_cluster_cell(core::ReplicaEngine::kNakamoto,
-                                            nodes, interval, trace,
-                                            dirs.path / "nakamoto", false, settle);
-    const SimCell nk_sim = run_nakamoto_sim(nodes, interval, offered_tps,
-                                            duration, 29);
-    table.row({"cluster", "nakamoto", bench::fmt_int(nk.confirmed),
-               bench::fmt(nk.tps, 1), bench::fmt(nk.p50, 3), bench::fmt(nk.p99, 3),
-               nk.digests_agree ? "agree" : "DISAGREE",
-               bench::fmt_int(nk.clean_exits)});
-    table.row({"sim", "nakamoto", bench::fmt_int(nk_sim.confirmed),
-               bench::fmt(nk_sim.tps, 1), bench::fmt(nk_sim.p50, 3),
-               bench::fmt(nk_sim.p99, 3), "-", "-"});
+    // Cells 1 and 2: each engine over sockets vs the same replicas over the
+    // simulated transport.
+    const ClusterCell nk = run_cluster_cell(
+        cluster_config(core::ReplicaEngine::kNakamoto, "nakamoto"), trace, false, settle);
+    const SimCell nk_sim =
+        run_replica_sim(cluster_config(core::ReplicaEngine::kNakamoto, "nakamoto-sim"),
+                        trace, duration, 10.0 * interval);
+    cluster_row("cluster", "nakamoto", nk);
+    sim_row("nakamoto", nk_sim);
 
-    // Cell 2: PBFT over sockets vs the PbftCluster prediction.
-    const ClusterCell pb = run_cluster_cell(core::ReplicaEngine::kPbft, nodes,
-                                            interval, trace,
-                                            dirs.path / "pbft", false, settle);
-    const SimCell pb_sim = run_pbft_sim(trace, duration, 29);
-    table.row({"cluster", "pbft", bench::fmt_int(pb.confirmed),
-               bench::fmt(pb.tps, 1), bench::fmt(pb.p50, 3), bench::fmt(pb.p99, 3),
-               pb.digests_agree ? "agree" : "DISAGREE",
-               bench::fmt_int(pb.clean_exits)});
-    table.row({"sim", "pbft", bench::fmt_int(pb_sim.confirmed),
-               bench::fmt(pb_sim.tps, 1), bench::fmt(pb_sim.p50, 3),
-               bench::fmt(pb_sim.p99, 3), "-", "-"});
+    const ClusterCell pb = run_cluster_cell(
+        cluster_config(core::ReplicaEngine::kPbft, "pbft"), trace, false, settle);
+    const SimCell pb_sim = run_replica_sim(
+        cluster_config(core::ReplicaEngine::kPbft, "pbft-sim"), trace, duration, 5.0);
+    cluster_row("cluster", "pbft", pb);
+    sim_row("pbft", pb_sim);
 
     // Cell 3: kill one node (SIGKILL), restart it on the same data dir and
     // ports, and require LSM/WAL recovery plus catch-up to digest agreement.
     int killed_exit = 0;
-    const ClusterCell kr = run_cluster_cell(core::ReplicaEngine::kNakamoto,
-                                            nodes, interval, trace,
-                                            dirs.path / "rejoin", true, settle,
-                                            &killed_exit);
-    table.row({"kill+rejoin", "nakamoto", bench::fmt_int(kr.confirmed),
-               bench::fmt(kr.tps, 1), bench::fmt(kr.p50, 3), bench::fmt(kr.p99, 3),
-               kr.digests_agree ? "agree" : "DISAGREE",
-               bench::fmt_int(kr.clean_exits)});
+    const ClusterCell kr =
+        run_cluster_cell(cluster_config(core::ReplicaEngine::kNakamoto, "rejoin"), trace,
+                         true, settle, &killed_exit);
+    cluster_row("kill+rejoin", "nakamoto", kr);
     table.print();
 
     std::printf("\nnode-0 transport: %.0f bytes / %.0f frames sent, %.0f reconnects "
-                "(nakamoto cell); %.0f frames sent (pbft cell); killed node exit "
-                "%d (expected %d)\n",
+                "(nakamoto cell); %.0f frames sent, %.0f view changes (pbft cell); "
+                "killed node exit %d (expected %d)\n",
                 nk.net_bytes_sent, nk.net_frames_sent, nk.reconnects,
-                pb.net_frames_sent, killed_exit, -SIGKILL);
+                pb.net_frames_sent, pb.view_changes, killed_exit, -SIGKILL);
 
     run.metric("nakamoto_wall_tps", nk.tps);
     run.metric("nakamoto_wall_p50_s", nk.p50);
@@ -399,6 +390,7 @@ int main() {
     run.metric("pbft_digests_agree", static_cast<std::uint64_t>(pb.digests_agree));
     run.metric("pbft_clean_exits", static_cast<std::uint64_t>(pb.clean_exits));
     run.metric("pbft_net_frames_sent", pb.net_frames_sent);
+    run.metric("pbft_view_changes", pb.view_changes);
     run.metric("pbft_sim_tps", pb_sim.tps);
     run.metric("pbft_sim_p50_s", pb_sim.p50);
     run.metric("pbft_sim_p99_s", pb_sim.p99);

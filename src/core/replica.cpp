@@ -21,6 +21,9 @@ namespace {
 // txs into one frame per peer, short against any block's confirmation time.
 constexpr double kBatchWindowDivisor = 64.0;
 constexpr double kBatchWindowCapS = 0.005;
+// A PBFT primary that leaves work unordered for this many block intervals is
+// voted out.
+constexpr double kViewChangeIntervals = 10.0;
 
 PersistentNodeOptions node_options(const ReplicaConfig& config) {
     PersistentNodeOptions options;
@@ -44,21 +47,6 @@ std::pair<std::uint64_t, Block> decode_seq_block(ByteView payload) {
     Block block = Block::decode(r);
     r.expect_done();
     return {seq, std::move(block)};
-}
-
-Bytes encode_seq_hash(std::uint64_t seq, const Hash256& hash) {
-    Writer w;
-    w.u64(seq);
-    w.fixed(hash);
-    return std::move(w).take();
-}
-
-std::pair<std::uint64_t, Hash256> decode_seq_hash(ByteView payload) {
-    Reader r(payload);
-    const std::uint64_t seq = r.u64();
-    const Hash256 hash = r.fixed<32>();
-    r.expect_done();
-    return {seq, hash};
 }
 
 Bytes encode_hash(const Hash256& hash) {
@@ -134,6 +122,25 @@ Replica::Replica(net::transport::Transport& transport, ReplicaConfig config)
     mempool_.set_drop_observer(
         [this](const Hash256& txid, auto, auto) { submitted_at_.erase(txid); });
 
+    if (config_.engine == ReplicaEngine::kPbft) {
+        consensus::PbftEngine::Hooks hooks;
+        hooks.execute = [this](consensus::CommittedBatch batch) {
+            // One encoded block per batch, at sequence == height. One that
+            // does not connect is left to the catch-up probe.
+            if (batch.requests.size() != 1 || batch.sequence != node_.height() + 1) return;
+            try {
+                pbft_connect(decode_from_bytes<Block>(ByteView(batch.requests.front())));
+            } catch (const DecodeError&) {
+            }
+        };
+        hooks.has_pending = [this] { return !mempool_.empty(); };
+        pbft_ = std::make_unique<consensus::PbftEngine>(
+            transport_, config_.node_count, kViewChangeIntervals * config_.block_interval,
+            std::move(hooks));
+        pbft_->skip_to(node_.height()); // the recovered chain is executed
+        pbft_->set_active(false);        // until start()
+    }
+
     transport_.set_handler(
         [this](PeerId from, const std::string& topic, ByteView payload) {
             try {
@@ -149,7 +156,9 @@ void Replica::start() {
     running_ = true;
     if (config_.engine == ReplicaEngine::kNakamoto) {
         nk_schedule_mining();
-    } else if (pbft_primary()) {
+    } else {
+        pbft_->set_active(true);
+        // Every replica ticks: whichever is primary in the current view proposes.
         propose_timer_ = transport_.schedule_after(config_.block_interval,
                                                    [this] { pbft_propose(); });
     }
@@ -160,6 +169,7 @@ void Replica::stop() {
     flush_own(); // acknowledged submissions still leave the node
     if (!running_) return;
     running_ = false;
+    if (pbft_) pbft_->set_active(false);
     if (mining_timer_) transport_.cancel_timer(*mining_timer_);
     if (propose_timer_) transport_.cancel_timer(*propose_timer_);
     if (sync_timer_) transport_.cancel_timer(*sync_timer_);
@@ -174,8 +184,15 @@ void Replica::arm_sync_timer() {
         if (config_.engine == ReplicaEngine::kNakamoto) {
             nk_sync_probe();
         } else {
-            pbft_sync_probe();
+            // Ask a random peer for the next committed sequence; it answers
+            // only when it has one. Covers bootstrap, missed commits, rejoin.
+            if (!transport_.peer_ids().empty()) {
+                Writer w;
+                w.u64(node_.height() + 1);
+                transport_.send(random_peer(), "getseq", ByteView(w.data()));
+            }
             repair_left_out(); // an idle PBFT cluster connects no block
+            if (!mempool_.empty()) pbft_->arm_view_timer();
         }
         arm_sync_timer();
     });
@@ -348,30 +365,9 @@ void Replica::on_message(PeerId from, const std::string& topic, ByteView payload
         return;
     }
 
-    // PBFT (stable primary = replica 0; see header for the scope cut).
-    if (topic == "pp") {
-        if (!running_ || from != 0 || pbft_primary()) return;
-        auto [seq, block] = decode_seq_block(payload);
-        if (seq <= node_.height()) return; // already committed
-        PbftRound& round = rounds_[seq];
-        if (!round.block) {
-            round.block = std::move(block);
-            round.block_hash = round.block->hash();
-        }
-        pbft_check_round(seq);
-    } else if (topic == "prep" || topic == "cmt") {
-        if (!running_) return;
-        const auto [seq, hash] = decode_seq_hash(payload);
-        if (seq <= node_.height()) return;
-        PbftRound& round = rounds_[seq];
-        // Honest-cluster simplification: votes are tallied per sequence
-        // number; a mismatching digest can only delay quorum, not split it.
-        if (topic == "prep")
-            round.prepares.insert(from);
-        else
-            round.commits.insert(from);
-        pbft_check_round(seq);
-    } else if (topic == "getseq") {
+    // PBFT: the engine's own topics, then catch-up by sequence number.
+    if (pbft_->handle(from, topic, payload)) return;
+    if (topic == "getseq") {
         Reader r(payload);
         const std::uint64_t seq = r.u64();
         r.expect_done();
@@ -386,18 +382,7 @@ void Replica::on_message(PeerId from, const std::string& topic, ByteView payload
         if (!running_) return;
         auto [seq, block] = decode_seq_block(payload);
         // Catch-up: a committed block straight from a peer's canonical chain.
-        if (seq != node_.height() + 1 || block.header.prev_hash != node_.tip())
-            return;
-        try {
-            ledger::check_block_structure(block, rules_);
-            node_.connect_block(block);
-        } catch (const Error&) {
-            return;
-        }
-        connected(block);
-        while (!rounds_.empty() && rounds_.begin()->first <= node_.height())
-            rounds_.erase(rounds_.begin());
-        pbft_execute_ready();
+        if (seq == node_.height() + 1 && pbft_connect(block)) pbft_->skip_to(seq);
     }
 }
 
@@ -541,70 +526,24 @@ void Replica::nk_sync_probe() {
 void Replica::pbft_propose() {
     propose_timer_.reset();
     if (!running_) return;
-    const std::uint64_t seq = node_.height() + 1;
-    if (!mempool_.empty() && !rounds_.contains(seq)) {
-        PbftRound& round = rounds_[seq];
-        round.block = assemble_block();
-        round.block_hash = round.block->hash();
-        transport_.broadcast("pp", ByteView(encode_seq_block(seq, *round.block)));
-        pbft_check_round(seq);
-    }
+    // One block in flight at a time, at sequence == height.
+    if (pbft_->is_primary() && !mempool_.empty() && !pbft_->in_flight() &&
+        pbft_->last_executed() == node_.height())
+        pbft_->propose({encode_to_bytes(assemble_block())});
     propose_timer_ = transport_.schedule_after(config_.block_interval,
                                                [this] { pbft_propose(); });
 }
 
-void Replica::pbft_check_round(std::uint64_t seq) {
-    const auto it = rounds_.find(seq);
-    if (it == rounds_.end()) return;
-    PbftRound& round = it->second;
-    if (!round.block) return;
-    if (!round.sent_prepare) {
-        round.sent_prepare = true;
-        round.prepares.insert(transport_.local_id());
-        transport_.broadcast("prep",
-                             ByteView(encode_seq_hash(seq, round.block_hash)));
+bool Replica::pbft_connect(const Block& block) {
+    if (block.header.prev_hash != node_.tip()) return false;
+    try {
+        ledger::check_block_structure(block, rules_);
+        node_.connect_block(block);
+    } catch (const Error&) {
+        return false;
     }
-    if (!round.sent_commit && round.prepares.size() >= pbft_quorum()) {
-        round.sent_commit = true;
-        round.commits.insert(transport_.local_id());
-        transport_.broadcast("cmt",
-                             ByteView(encode_seq_hash(seq, round.block_hash)));
-    }
-    if (round.commits.size() >= pbft_quorum()) pbft_execute_ready();
-}
-
-void Replica::pbft_execute_ready() {
-    while (true) {
-        const std::uint64_t seq = node_.height() + 1;
-        const auto it = rounds_.find(seq);
-        if (it == rounds_.end()) return;
-        PbftRound& round = it->second;
-        if (!round.block || round.commits.size() < pbft_quorum()) return;
-        if (round.block->header.prev_hash != node_.tip()) {
-            rounds_.erase(it); // diverged round (stale after catch-up)
-            continue;
-        }
-        try {
-            ledger::check_block_structure(*round.block, rules_);
-            node_.connect_block(*round.block);
-        } catch (const Error&) {
-            rounds_.erase(it);
-            return;
-        }
-        connected(*round.block);
-        rounds_.erase(it);
-        while (!rounds_.empty() && rounds_.begin()->first <= node_.height())
-            rounds_.erase(rounds_.begin());
-    }
-}
-
-void Replica::pbft_sync_probe() {
-    if (transport_.peer_ids().empty()) return;
-    // Ask a random peer for the next committed sequence; it answers only when
-    // it has one. Covers bootstrap, missed commits, and post-restart rejoin.
-    Writer w;
-    w.u64(node_.height() + 1);
-    transport_.send(random_peer(), "getseq", ByteView(w.data()));
+    connected(block);
+    return true;
 }
 
 } // namespace dlt::core

@@ -13,12 +13,14 @@
 //     Missing ancestry is fetched hop-by-hop ("getblk" walk-back), which also
 //     serves as the catch-up path after a restart or partition.
 //
-//   kPbft — a deliberately simplified PBFT: replica 0 is the stable primary
-//     (no view change; a primary failure halts the cluster, which DESIGN.md
-//     records as the scope cut), batches commit through the classic
-//     pre-prepare / prepare / commit exchange with 2f+1 quorums, and a lagging
-//     backup catches up by requesting committed blocks by sequence number —
-//     the path the E29 kill-and-restart cell exercises.
+//   kPbft — consensus::PbftEngine, the PBFT the simulator's PbftCluster runs
+//     (digest-bound votes, view change after 10 block intervals without
+//     progress), ordering one encoded block per batch at sequence == height.
+//     The current primary proposes on its block_interval tick when its
+//     mempool is non-empty and nothing is in flight. A lagging replica
+//     catches up by sequence number ("getseq"/"seq"), which also advances
+//     the engine's executed height. The view-change timer is armed from the
+//     sync tick and from block events, never per transaction.
 //
 // Transaction relay. Txs travel in batches: a "txs" payload is a varint count
 // followed by the txs' own encodings (a block's tx-list layout), and every
@@ -55,15 +57,15 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "consensus/pbft.hpp"
 #include "core/persistent_node.hpp"
 #include "ledger/chain.hpp"
 #include "ledger/mempool.hpp"
@@ -124,6 +126,8 @@ public:
     // --- Inspection (transport thread, or any thread after stop()) -----------
     const Hash256& tip() const { return node_.tip(); }
     std::uint64_t height() const { return node_.height(); }
+    /// PBFT view (0 for Nakamoto).
+    std::uint32_t view() const { return pbft_ ? pbft_->view() : 0; }
     /// Non-coinbase transactions on the canonical chain.
     std::uint64_t confirmed_txs() const { return confirmed_txs_; }
     /// Submit→canonical-inclusion latency of each locally submitted
@@ -165,23 +169,9 @@ private:
     void nk_sync_probe();
 
     // PBFT -------------------------------------------------------------------
-    struct PbftRound {
-        std::optional<ledger::Block> block;
-        Hash256 block_hash;
-        std::set<net::transport::PeerId> prepares;
-        std::set<net::transport::PeerId> commits;
-        bool sent_prepare = false;
-        bool sent_commit = false;
-    };
-    bool pbft_primary() const { return transport_.local_id() == 0; }
-    std::size_t pbft_quorum() const {
-        const std::size_t f = (config_.node_count - 1) / 3;
-        return 2 * f + 1;
-    }
     void pbft_propose();
-    void pbft_check_round(std::uint64_t seq);
-    void pbft_execute_ready();
-    void pbft_sync_probe();
+    /// Connect a committed block that extends the tip; false when it does not.
+    bool pbft_connect(const ledger::Block& block);
 
     net::transport::Transport& transport_;
     ReplicaConfig config_;
@@ -199,8 +189,8 @@ private:
     std::unordered_set<Hash256> requested_; // ancestor fetches in flight
     std::optional<net::transport::TimerId> mining_timer_;
 
-    // PBFT round state.
-    std::map<std::uint64_t, PbftRound> rounds_;
+    // PBFT agreement (kPbft only) and the proposal tick.
+    std::unique_ptr<consensus::PbftEngine> pbft_;
     std::optional<net::transport::TimerId> propose_timer_;
 
     std::optional<net::transport::TimerId> sync_timer_;

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/error.hpp"
+#include "common/serialize.hpp"
 #include "consensus/bitcoinng.hpp"
 #include "consensus/ordering.hpp"
 #include "consensus/pbft.hpp"
@@ -332,6 +333,85 @@ TEST(Pbft, FaultPlanDrivesPartitionOnSchedule) {
     for (std::uint32_t r = 0; r < cluster.replica_count(); ++r)
         EXPECT_EQ(cluster.executed_requests(r), 8u) << "replica " << r;
     EXPECT_TRUE(cluster.logs_consistent());
+}
+
+// --- PBFT golden runs ---------------------------------------------------------------------
+//
+// Each digest covers every replica's committed log (sequence, view, requests,
+// commit time) and the network's traffic counters after one seeded run, so any
+// change to message order, timing or count shows. The experiments that run
+// PbftCluster (E04, E08, E17, E19, E22, E27) promise byte-identical outputs;
+// a change that moves these digests breaks that promise.
+
+std::string pbft_run_digest(const PbftCluster& cluster) {
+    Writer w;
+    for (std::uint32_t r = 0; r < cluster.replica_count(); ++r) {
+        const auto& log = cluster.log_of(r);
+        w.varint(log.size());
+        for (const auto& batch : log) {
+            w.u64(batch.sequence);
+            w.u32(batch.view);
+            w.f64(batch.committed_at);
+            w.varint(batch.requests.size());
+            for (const auto& request : batch.requests) w.blob(request);
+        }
+    }
+    const net::TrafficStats& t = cluster.traffic();
+    for (const std::uint64_t v :
+         {t.messages_sent, t.bytes_sent, t.messages_dropped, t.messages_lost,
+          t.messages_duplicated, t.messages_partitioned, t.messages_from_crashed})
+        w.u64(v);
+    return crypto::sha256(w.data()).hex();
+}
+
+void submit_requests(PbftCluster& cluster, int count) {
+    for (int i = 0; i < count; ++i) cluster.submit(to_bytes("g" + std::to_string(i)));
+}
+
+TEST(PbftGolden, Honest) {
+    PbftCluster cluster(small_cluster(), 21);
+    submit_requests(cluster, 30);
+    cluster.run_for(5.0);
+    submit_requests(cluster, 25);
+    cluster.run_for(10.0);
+    EXPECT_EQ(cluster.executed_requests(3), 55u);
+    EXPECT_EQ(pbft_run_digest(cluster),
+              "70a4a8b7d8cddd8624a49f79e6542c6a87f25e9234a6934465e8cd54ff53399e");
+}
+
+TEST(PbftGolden, CrashedPrimary) {
+    PbftCluster cluster(small_cluster(), 22);
+    cluster.set_fault(0, PbftFault::kCrashed);
+    submit_requests(cluster, 15);
+    cluster.run_for(30.0);
+    EXPECT_GE(cluster.max_view(), 1u);
+    EXPECT_EQ(cluster.executed_requests(1), 15u);
+    EXPECT_EQ(pbft_run_digest(cluster),
+              "22e616cfedb350beb8b1cdbb427e7312f2d7eb8abc44bce1d749a160efad80b7");
+}
+
+TEST(PbftGolden, EquivocatingPrimary) {
+    PbftCluster cluster(small_cluster(), 23);
+    cluster.set_fault(0, PbftFault::kEquivocating);
+    submit_requests(cluster, 12);
+    cluster.run_for(40.0);
+    EXPECT_GE(cluster.max_view(), 1u);
+    EXPECT_EQ(cluster.executed_requests(1), 12u);
+    EXPECT_EQ(pbft_run_digest(cluster),
+              "7b528e4be63e2b49e46fcd3a2e5057b51aad95c539325eed522b0d0b49c0ecd7");
+}
+
+TEST(PbftGolden, HealedTwoTwoPartition) {
+    PbftCluster cluster(small_cluster(), 24);
+    cluster.network().partition("cut", {{0, 1}, {2, 3}});
+    submit_requests(cluster, 10);
+    cluster.run_for(30.0);
+    cluster.network().heal("cut");
+    cluster.run_for(60.0);
+    EXPECT_GE(cluster.max_view(), 1u);
+    EXPECT_EQ(cluster.executed_requests(0), 10u);
+    EXPECT_EQ(pbft_run_digest(cluster),
+              "42f186edac4545d5dd44a785209a244eaa9ade36f74169b9518cb8628d0d9dae");
 }
 
 // --- Bitcoin-NG -----------------------------------------------------------------------------

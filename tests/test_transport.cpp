@@ -26,6 +26,7 @@
 #include "core/persistent_node.hpp"
 #include "core/replica.hpp"
 #include "crypto/sha256.hpp"
+#include "ledger/amount.hpp"
 #include "ledger/validation.hpp"
 #include "net/transport/frame.hpp"
 #include "net/transport/sim_transport.hpp"
@@ -789,6 +790,115 @@ TEST(ReplicaSim, PbftConvergesOverSimTransport) {
         EXPECT_EQ(replicas[i]->height(), replicas[0]->height());
     }
     EXPECT_EQ(replicas[0]->confirmed_txs(), 15u);
+}
+
+// The view-0 primary crashes after a few blocks. The backups time out (10
+// block intervals without progress), move to view 1 together and keep
+// confirming new submissions under primary 1, agreeing on one tip.
+TEST(ReplicaSim, PbftPrimaryCrashViewChanges) {
+    TempDir dirs("replica-pbft-crash");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(21));
+    SimTransportHub hub(network, 4);
+    network.build_full_mesh();
+
+    std::vector<std::unique_ptr<core::Replica>> replicas;
+    for (std::uint32_t id = 0; id < 4; ++id) {
+        core::ReplicaConfig config;
+        config.engine = core::ReplicaEngine::kPbft;
+        config.node_count = 4;
+        config.block_interval = 0.5;
+        config.data_dir = dirs.path / ("n" + std::to_string(id));
+        replicas.push_back(
+            std::make_unique<core::Replica>(hub.endpoint(id), config));
+    }
+    for (auto& r : replicas) r->start();
+    for (std::uint64_t i = 0; i < 10; ++i)
+        scheduler.schedule_after(0.2 * static_cast<double>(i), [&, i] {
+            replicas[i % 4]->submit_transaction(record_tx(i, 2));
+        });
+    std::uint64_t height_at_crash = 0;
+    scheduler.schedule_after(3.0, [&] {
+        height_at_crash = replicas[0]->height();
+        replicas[0]->stop();
+        network.set_crashed(0, true);
+    });
+    for (std::uint64_t i = 0; i < 20; ++i)
+        scheduler.schedule_after(4.0 + 0.3 * static_cast<double>(i), [&, i] {
+            replicas[1 + i % 3]->submit_transaction(record_tx(100 + i, 2));
+        });
+    scheduler.run_until(40.0);
+    for (auto& r : replicas) r->stop();
+    scheduler.run_until(41.0);
+
+    EXPECT_GT(height_at_crash, 0u);
+    for (std::size_t i = 1; i < replicas.size(); ++i) {
+        EXPECT_EQ(replicas[i]->view(), 1u) << "replica " << i;
+        EXPECT_EQ(replicas[i]->tip(), replicas[1]->tip()) << "replica " << i;
+        EXPECT_EQ(replicas[i]->confirmed_txs(), 30u) << "replica " << i;
+        EXPECT_EQ(replicas[i]->pending_submissions(), 0u) << "replica " << i;
+    }
+    EXPECT_GT(replicas[1]->height(), height_at_crash);
+}
+
+// Votes count only for the digest they name. Endpoints 0, 2 and 3 are driven
+// by hand: primary 0 pre-prepares block A at sequence 1, then all three send
+// prepares and commits for sequence 1 under another digest. Replica 1 must not
+// connect A. Once the same votes name A's digest, it does.
+TEST(ReplicaSim, PbftVotesBindToDigest) {
+    TempDir dirs("replica-pbft-digest");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(22));
+    SimTransportHub hub(network, 4);
+    network.build_full_mesh();
+    core::ReplicaConfig config;
+    config.engine = core::ReplicaEngine::kPbft;
+    config.node_count = 4;
+    config.block_interval = 1000.0;
+    config.data_dir = dirs.path / "n1";
+    core::Replica replica(hub.endpoint(1), config);
+    replica.start();
+    for (const PeerId id : {0u, 2u, 3u})
+        hub.endpoint(id).set_handler([](PeerId, const std::string&, ByteView) {});
+
+    ledger::Block a;
+    a.header.prev_hash = replica.tip();
+    a.header.height = 1;
+    a.header.timestamp = 1.0;
+    a.header.bits = config.genesis_bits;
+    a.txs.push_back(ledger::make_coinbase(crypto::Address{}, ledger::block_subsidy(1), 1));
+    a.header.merkle_root = a.compute_merkle_root();
+    const std::vector<Bytes> batch{encode_to_bytes(a)};
+    const Hash256 digest = consensus::pbft_batch_digest(batch);
+
+    Writer pre_prepare; // view, sequence, digest, requests
+    pre_prepare.u32(0);
+    pre_prepare.u64(1);
+    pre_prepare.fixed(digest);
+    pre_prepare.varint(1);
+    pre_prepare.blob(batch.front());
+    hub.endpoint(0).send(1, "preprepare", ByteView(pre_prepare.data()));
+    const auto vote_all = [&](const Hash256& named) {
+        for (const PeerId from : {0u, 2u, 3u})
+            for (const char* topic : {"prepare", "commit"}) {
+                Writer w; // view, sequence, digest, sender
+                w.u32(0);
+                w.u64(1);
+                w.fixed(named);
+                w.u32(from);
+                hub.endpoint(from).send(1, topic, ByteView(w.data()));
+            }
+    };
+
+    vote_all(crypto::sha256(to_bytes("not block A")));
+    scheduler.run_until(5.0);
+    EXPECT_EQ(replica.height(), 0u);
+
+    vote_all(digest);
+    scheduler.run_until(10.0);
+    EXPECT_EQ(replica.height(), 1u);
+    EXPECT_EQ(replica.tip(), a.hash());
+    replica.stop();
 }
 
 // An own submission the pool sheds unconfirmed must not stay tracked as
