@@ -116,6 +116,7 @@ struct ClusterCell {
     bool digests_agree = false;
     std::size_t clean_exits = 0;
     double net_bytes_sent = 0, net_frames_sent = 0, reconnects = 0, view_changes = 0;
+    double blocks_mined = 0, reorgs = 0;
 };
 
 /// Poll every node until one simultaneous status round shows identical tips.
@@ -222,6 +223,8 @@ ClusterCell run_cluster_cell(const app::ClusterConfig& config,
         cell.net_frames_sent = metric_from_json(metrics, "net_tcp_frames_sent_total");
         cell.reconnects = metric_from_json(metrics, "net_tcp_reconnects_total");
         cell.view_changes = metric_from_json(metrics, "pbft_view_changes_total");
+        cell.blocks_mined = metric_from_json(metrics, "consensus_blocks_mined_total");
+        cell.reorgs = metric_from_json(metrics, "consensus_reorgs_total");
     }
 
     for (const int code : cluster.stop_all())
@@ -362,11 +365,11 @@ int main() {
     cluster_row("kill+rejoin", "nakamoto", kr);
     table.print();
 
-    std::printf("\nnode-0 transport: %.0f bytes / %.0f frames sent, %.0f reconnects "
-                "(nakamoto cell); %.0f frames sent, %.0f view changes (pbft cell); "
-                "killed node exit %d (expected %d)\n",
-                nk.net_bytes_sent, nk.net_frames_sent, nk.reconnects,
-                pb.net_frames_sent, pb.view_changes, killed_exit, -SIGKILL);
+    std::printf("\nnode-0 transport: %.0f bytes / %.0f frames sent, %.0f reconnects, "
+                "%.0f blocks mined, %.0f reorgs (nakamoto cell); %.0f frames sent, "
+                "%.0f view changes (pbft cell); killed node exit %d (expected %d)\n",
+                nk.net_bytes_sent, nk.net_frames_sent, nk.reconnects, nk.blocks_mined,
+                nk.reorgs, pb.net_frames_sent, pb.view_changes, killed_exit, -SIGKILL);
 
     run.metric("nakamoto_wall_tps", nk.tps);
     run.metric("nakamoto_wall_p50_s", nk.p50);
@@ -378,6 +381,8 @@ int main() {
     run.metric("nakamoto_clean_exits", static_cast<std::uint64_t>(nk.clean_exits));
     run.metric("nakamoto_net_bytes_sent", nk.net_bytes_sent);
     run.metric("nakamoto_net_frames_sent", nk.net_frames_sent);
+    run.metric("nakamoto_blocks_mined", nk.blocks_mined);
+    run.metric("nakamoto_reorgs", nk.reorgs);
     run.metric("nakamoto_sim_tps", nk_sim.tps);
     run.metric("nakamoto_sim_p50_s", nk_sim.p50);
     run.metric("nakamoto_sim_p99_s", nk_sim.p99);

@@ -14,14 +14,33 @@ namespace dlt::consensus {
 using ledger::Block;
 using ledger::Transaction;
 using net::NodeId;
+using net::transport::PeerId;
 
-NakamotoNetwork::NakamotoNetwork(NakamotoParams params, std::uint64_t seed)
-    : params_(std::move(params)),
-      rng_(seed),
-      lifecycle_(params_.finality_depth, &obs::Tracer::global()) {
-    DLT_EXPECTS(params_.node_count >= 2);
-    DLT_EXPECTS(params_.block_interval > 0);
+namespace {
 
+crypto::U256 block_work(const Block& block) {
+    return ledger::work_from_target(ledger::compact_to_target(block.header.bits));
+}
+
+} // namespace
+
+// --- NakamotoEngine ---------------------------------------------------------
+
+NakamotoEngine::NakamotoEngine(net::transport::Transport& transport,
+                               const NakamotoParams& params, const Block& genesis,
+                               double hashrate_share, crypto::Address miner, Rng rng,
+                               ChainState& state, ledger::Mempool& mempool, Hooks hooks)
+    : transport_(transport),
+      params_(params),
+      genesis_bits_(genesis.header.bits),
+      hashrate_share_(hashrate_share),
+      miner_(std::move(miner)),
+      rng_(std::move(rng)),
+      state_(state),
+      mempool_(mempool),
+      hooks_(std::move(hooks)),
+      chain_(genesis),
+      active_tip_(genesis.hash()) {
     auto& registry = obs::MetricsRegistry::global();
     blocks_mined_ = &registry.counter("consensus_blocks_mined_total",
                                       "Blocks mined across all peers");
@@ -29,6 +48,389 @@ NakamotoNetwork::NakamotoNetwork(NakamotoParams params, std::uint64_t seed)
                                 "Reorganizations across all peers");
     invalid_blocks_ = &registry.counter("consensus_invalid_blocks_total",
                                         "Blocks rejected during connect");
+}
+
+void NakamotoEngine::adopt_connected(const Block& block) {
+    DLT_EXPECTS(block.header.prev_hash == active_tip_);
+    chain_.insert(block, block_work(block));
+    active_tip_ = block.hash();
+}
+
+void NakamotoEngine::start() { schedule_mining(); }
+
+void NakamotoEngine::stop() {
+    if (mining_timer_) transport_.cancel_timer(*mining_timer_);
+    mining_timer_.reset();
+}
+
+bool NakamotoEngine::handle(PeerId from, const std::string& topic, ByteView payload) {
+    if (topic == "block" || topic == "d/block") {
+        try {
+            accept(decode_from_bytes<Block>(payload), from);
+        } catch (const DecodeError&) {
+            // Undecodable block: dropped, as a real peer would.
+        }
+        return true;
+    }
+    if (topic == "d/getblock") {
+        // Serve one block by hash so the asker's walk-back makes progress,
+        // or say we lack it so the asker may try elsewhere.
+        if (payload.size() != 32) return true;
+        const Hash256 want = Hash256::from_bytes(payload);
+        if (const auto* entry = chain_.find(want))
+            transport_.send(from, "d/block", ByteView(encode_to_bytes(entry->block)));
+        else
+            transport_.send(from, "d/notfound", want.view());
+        return true;
+    }
+    if (topic == "d/notfound") {
+        // Clear the in-flight marker so a later arrival asks a better peer.
+        if (payload.size() == 32) requested_.erase(Hash256::from_bytes(payload));
+        return true;
+    }
+    if (topic == "gettip") {
+        if (active_tip_ != chain_.genesis_hash())
+            transport_.send(from, "d/block",
+                            ByteView(encode_to_bytes(chain_.find(active_tip_)->block)));
+        return true;
+    }
+    return false;
+}
+
+void NakamotoEngine::accept(const Block& block, PeerId from) {
+    const Hash256 hash = block.hash();
+    if (chain_.contains(hash)) return;
+    try {
+        ledger::check_block_structure(block, params_.validation);
+    } catch (const ValidationError&) {
+        return; // malformed whatever its context: never indexed
+    }
+    if (!chain_.contains(block.header.prev_hash)) {
+        hold_orphan(block, hash);
+        request_block(block.header.prev_hash, from);
+        return;
+    }
+    if (block.header.bits != next_bits(block.header.prev_hash)) return; // forged work
+    insert_and_update(block);
+    if (hooks_.flood) hooks_.flood(block, from);
+}
+
+void NakamotoEngine::hold_orphan(const Block& block, const Hash256& hash) {
+    const Hash256& parent = block.header.prev_hash;
+    if (const auto known = orphans_.find(parent);
+        known != orphans_.end() &&
+        std::ranges::any_of(known->second.blocks, [&](const Block& b) { return b.hash() == hash; }))
+        return;
+    if (orphan_count_ >= kMaxOrphans) {
+        // Full: drop the group waited for longest, with its fetch marker.
+        const auto oldest = orphan_parents_.begin();
+        const auto dropped = orphans_.find(oldest->second);
+        orphan_count_ -= dropped->second.blocks.size();
+        requested_.erase(oldest->second);
+        orphans_.erase(dropped);
+        orphan_parents_.erase(oldest);
+    }
+    auto [group, fresh] = orphans_.try_emplace(parent);
+    if (fresh) {
+        group->second.arrival = orphan_arrivals_++;
+        orphan_parents_.emplace(group->second.arrival, parent);
+    }
+    group->second.blocks.push_back(block);
+    ++orphan_count_;
+}
+
+void NakamotoEngine::request_block(const Hash256& hash, PeerId from) {
+    if (from == transport_.local_id()) return; // locally injected: nobody to ask
+    if (!requested_.insert(hash).second) return; // already in flight
+    transport_.send(from, "d/getblock", hash.view());
+}
+
+void NakamotoEngine::insert_and_update(const Block& block) {
+    // Insert the block and any orphans it unblocks (depth first).
+    std::vector<Block> pending{block};
+    while (!pending.empty()) {
+        const Block current = std::move(pending.back());
+        pending.pop_back();
+        const Hash256 hash = current.hash();
+        requested_.erase(hash); // a pending ancestor fetch is satisfied
+        if (!chain_.contains(hash)) {
+            // An orphan whose difficulty is wrong for its parent claims work
+            // it was not mined at: never indexed.
+            if (current.header.bits != next_bits(current.header.prev_hash)) continue;
+            chain_.insert(current, block_work(current), transport_.now());
+            if (hooks_.inserted) hooks_.inserted(current);
+        }
+        if (const auto it = orphans_.find(hash); it != orphans_.end()) {
+            orphan_count_ -= it->second.blocks.size();
+            orphan_parents_.erase(it->second.arrival);
+            for (auto& orphan : it->second.blocks) pending.push_back(std::move(orphan));
+            orphans_.erase(it);
+        }
+    }
+    update_active_tip();
+}
+
+bool NakamotoEngine::path_contains_invalid(const Hash256& tip) const {
+    if (invalid_.empty()) return false;
+    for (const auto& hash : chain_.path_from_genesis(tip))
+        if (invalid_.contains(hash)) return true;
+    return false;
+}
+
+void NakamotoEngine::update_active_tip() {
+    for (;;) {
+        const Hash256 best = params_.branch_rule == BranchRule::kGhost
+                                 ? chain_.best_tip_by_ghost()
+                                 : chain_.best_tip_by_work();
+        if (best == active_tip_) return;
+        if (path_contains_invalid(best)) {
+            // Fall back to the most-work leaf whose branch is valid.
+            Hash256 fallback = active_tip_;
+            crypto::U256 fallback_work = chain_.find(active_tip_)->cumulative_work;
+            for (const auto& leaf : chain_.leaves()) {
+                if (path_contains_invalid(leaf)) continue;
+                const auto* entry = chain_.find(leaf);
+                if (entry->cumulative_work > fallback_work) {
+                    fallback = leaf;
+                    fallback_work = entry->cumulative_work;
+                }
+            }
+            if (fallback != active_tip_) reorg_to(fallback);
+            return;
+        }
+        // An invalid block is marked and selection runs again; a state fault
+        // leaves the branch eligible for the next block or probe.
+        if (!reorg_to(best)) return;
+    }
+}
+
+bool NakamotoEngine::reorg_to(const Hash256& new_tip) {
+    const auto path = chain_.reorg_path(active_tip_, new_tip);
+    if (!path.disconnect.empty()) {
+        ++stats_.reorgs;
+        reorgs_->inc();
+    }
+
+    // Disconnect the old branch (tip first), its txs back to the mempool,
+    // then connect the new one (oldest first).
+    std::vector<Hash256> disconnected;
+    std::vector<Hash256> connected;
+    const auto restore = [&] {
+        for (auto it = connected.rbegin(); it != connected.rend(); ++it) disconnect_block(*it);
+        for (auto it = disconnected.rbegin(); it != disconnected.rend(); ++it)
+            connect_block(*it);
+    };
+    try {
+        for (const auto& hash : path.disconnect) {
+            disconnect_block(hash);
+            disconnected.push_back(hash);
+        }
+        for (const auto& hash : path.connect) {
+            connect_block(hash);
+            connected.push_back(hash);
+        }
+    } catch (const ValidationError&) {
+        DLT_INVARIANT(disconnected.size() == path.disconnect.size());
+        ++stats_.invalid_blocks;
+        invalid_blocks_->inc();
+        invalid_.insert(path.connect[connected.size()]);
+        restore();
+        return true;
+    } catch (const std::exception& e) {
+        DLT_LOG(kWarn, "consensus") << "reorg halted by a state fault: " << e.what();
+        restore();
+        return false;
+    }
+    active_tip_ = new_tip;
+
+    // Observers fire only after the reorg fully succeeded.
+    if (hooks_.reorged) hooks_.reorged(path.disconnect, connected);
+    schedule_mining(); // re-aim mining at the new tip
+    return false;
+}
+
+void NakamotoEngine::connect_block(const Hash256& hash) {
+    const Block& block = chain_.find(hash)->block;
+    state_.connect(block);
+    mempool_.remove_confirmed(block.txids());
+}
+
+void NakamotoEngine::disconnect_block(const Hash256& hash) {
+    const Block& block = chain_.find(hash)->block;
+    state_.disconnect_tip(block);
+    mempool_.add_back(block.txs, transport_.now());
+}
+
+void NakamotoEngine::sync_probe() {
+    const auto peers = transport_.peer_ids();
+    if (peers.empty()) return;
+    const auto random_peer = [&] { return peers[rng_.index(peers.size())]; };
+    // Re-issue fetches that went unanswered (lost frame, peer was down).
+    requested_.clear();
+    for (const auto& [arrival, parent] : orphan_parents_) request_block(parent, random_peer());
+    transport_.send(random_peer(), "gettip", ByteView());
+}
+
+void NakamotoEngine::publish(const Hash256& hash) {
+    const auto* entry = chain_.find(hash);
+    DLT_EXPECTS(entry != nullptr);
+    if (hooks_.flood) hooks_.flood(entry->block, transport_.local_id());
+}
+
+void NakamotoEngine::set_network_hashrate(double multiplier) {
+    DLT_EXPECTS(multiplier > 0);
+    network_hashrate_ = multiplier;
+    // Exponentials are memoryless: re-draw at the new rate.
+    if (mining_timer_) schedule_mining();
+}
+
+std::uint32_t NakamotoEngine::next_bits(const Hash256& tip) const {
+    if (!params_.enable_retargeting) return genesis_bits_;
+    const auto* entry = chain_.find(tip);
+    DLT_EXPECTS(entry != nullptr);
+    const std::uint64_t next_height = entry->height + 1;
+    if (next_height % params_.retarget.interval_blocks != 0)
+        return entry->block.header.bits;
+
+    // Actual time the last interval took, from block timestamps. Walk back
+    // `interval_blocks` parents so the window spans interval_blocks gaps
+    // (avoiding Bitcoin's famous off-by-one, which at our short retarget
+    // windows would bias difficulty ~12% high).
+    const Hash256 first = chain_.ancestor(tip, params_.retarget.interval_blocks);
+    const auto* first_entry = chain_.find(first);
+    const std::uint64_t gaps = entry->height - first_entry->height;
+    if (gaps == 0) return entry->block.header.bits;
+    double actual = entry->block.header.timestamp - first_entry->block.header.timestamp;
+    // Normalize to a full window when clipped at genesis.
+    actual *= static_cast<double>(params_.retarget.interval_blocks) /
+              static_cast<double>(gaps);
+    if (actual <= 0) return entry->block.header.bits;
+    return ledger::retarget(entry->block.header.bits, actual, params_.retarget);
+}
+
+void NakamotoEngine::schedule_mining() {
+    if (hashrate_share_ <= 0) return;
+    if (mining_timer_) transport_.cancel_timer(*mining_timer_);
+    // Expected network interval scales with the current difficulty relative to
+    // genesis, and inversely with total hash power.
+    double interval = params_.block_interval / network_hashrate_;
+    if (params_.enable_retargeting) {
+        const auto to_double = [](const crypto::U256& v) {
+            double out = 0;
+            for (int i = 3; i >= 0; --i)
+                out = out * 18446744073709551616.0 +
+                      static_cast<double>(v.limbs[static_cast<std::size_t>(i)]);
+            return out;
+        };
+        const auto genesis_target = ledger::compact_to_target(genesis_bits_);
+        const auto current_target = ledger::compact_to_target(next_bits(active_tip_));
+        // difficulty ratio = genesis_target / current_target (smaller target =
+        // harder); double precision is ample for interval scaling.
+        interval *= to_double(genesis_target) / to_double(current_target);
+    }
+    const double delay = sample_block_time(hashrate_share_, interval, rng_);
+    mining_timer_ = transport_.schedule_after(delay, [this] { mine(); });
+}
+
+void NakamotoEngine::mine() {
+    mining_timer_.reset();
+    const Block block = assemble_block();
+    ++stats_.blocks_mined;
+    blocks_mined_->inc();
+    auto& tracer = obs::Tracer::global();
+    if (tracer.enabled()) {
+        tracer.instant("block.mined", "consensus", transport_.now(), transport_.local_id(),
+                       {{"height", obs::trace_arg(block.header.height)},
+                        {"txs", obs::trace_arg(static_cast<std::uint64_t>(
+                             block.txs.size()))}});
+    }
+    if (hooks_.mined && !hooks_.mined(block)) {
+        // Withheld: the miner adopts the block privately (it has the most
+        // work locally, so mining continues on the secret fork) and nothing
+        // is sent. publish() releases it.
+        insert_and_update(block);
+    } else {
+        // The miner adopts its own block like any other (the reorg re-aims
+        // mining), then floods it.
+        accept(block, transport_.local_id());
+    }
+    schedule_mining();
+}
+
+Block NakamotoEngine::assemble_block() {
+    ledger::BlockHeader header;
+    header.prev_hash = active_tip_;
+    header.height = height() + 1;
+    header.timestamp = transport_.now();
+    header.bits = next_bits(active_tip_);
+    header.nonce = rng_.next(); // simulated proof (see DESIGN.md)
+    header.proposer = miner_;
+    return ledger::assemble_block(header, mempool_, state_.utxo(), params_.max_block_bytes,
+                                  params_.max_block_txs);
+}
+
+// --- NakamotoNetwork --------------------------------------------------------
+
+namespace {
+
+/// One peer's view of the gossip overlay as a Transport: point-to-point sends
+/// are the overlay's direct messages and timers run on the shared scheduler.
+/// Deliveries reach the engine through the harness, not set_handler().
+class OverlayTransport final : public net::transport::Transport {
+public:
+    OverlayTransport(net::GossipOverlay& gossip, net::Network& network, NodeId id)
+        : gossip_(gossip), network_(network), id_(id) {}
+
+    PeerId local_id() const override { return id_; }
+    std::vector<PeerId> peer_ids() const override {
+        std::vector<PeerId> peers = network_.neighbors(id_);
+        std::sort(peers.begin(), peers.end());
+        return peers;
+    }
+    void set_handler(Handler) override {}
+    bool send(PeerId to, const std::string& topic, ByteView payload) override {
+        // Dropped silently when the link is gone, like a reply to a closed
+        // socket.
+        const bool linked = network_.connected(id_, to);
+        gossip_.send_direct(id_, to, topic, Bytes(payload.begin(), payload.end()));
+        return linked;
+    }
+    double now() const override { return network_.scheduler().now(); }
+    net::transport::TimerId schedule_after(double delay_s,
+                                           std::function<void()> fn) override {
+        return network_.scheduler().schedule_after(delay_s, std::move(fn));
+    }
+    bool cancel_timer(net::transport::TimerId id) override {
+        return network_.scheduler().cancel(id);
+    }
+    void post(std::function<void()> fn) override { schedule_after(0.0, std::move(fn)); }
+    void shutdown() override {}
+
+private:
+    net::GossipOverlay& gossip_;
+    net::Network& network_;
+    NodeId id_;
+};
+
+} // namespace
+
+void NakamotoNetwork::Peer::connect(const Block& block) {
+    undo.emplace(block.hash(), ledger::connect_block(block, utxo_set, *rules));
+}
+
+void NakamotoNetwork::Peer::disconnect_tip(const Block& tip) {
+    const auto it = undo.find(tip.hash());
+    DLT_INVARIANT(it != undo.end());
+    utxo_set.undo_block(it->second);
+    undo.erase(it);
+}
+
+NakamotoNetwork::NakamotoNetwork(NakamotoParams params, std::uint64_t seed)
+    : params_(std::move(params)),
+      rng_(seed),
+      lifecycle_(params_.finality_depth, &obs::Tracer::global()) {
+    DLT_EXPECTS(params_.node_count >= 2);
+    DLT_EXPECTS(params_.block_interval > 0);
 
     genesis_ = ledger::make_genesis(params_.chain_tag, ledger::easy_bits(1));
 
@@ -47,17 +449,16 @@ NakamotoNetwork::NakamotoNetwork(NakamotoParams params, std::uint64_t seed)
     for (const double s : shares) total += s;
     DLT_EXPECTS(total > 0);
 
-    peers_.resize(params_.node_count);
-    for (std::size_t i = 0; i < params_.node_count; ++i) {
-        Peer& peer = peers_[i];
-        peer.chain = std::make_unique<ledger::ChainStore>(genesis_);
-        peer.active_tip = genesis_.hash();
+    for (NodeId i = 0; i < params_.node_count; ++i) {
+        Peer& peer = peers_.emplace_back();
+        peer.rules = &params_.validation;
+        peer.transport = std::make_unique<OverlayTransport>(*gossip_, *network_, i);
         peer.mempool = ledger::Mempool(params_.mempool);
-        peer.miner = crypto::PrivateKey::from_seed(params_.chain_tag + "/miner/" +
-                                                   std::to_string(i))
-                         .address();
-        peer.hashrate_share = shares[i] / total;
-        peer.rng = rng_.fork(0x100 + i);
+        peer.engine = std::make_unique<NakamotoEngine>(
+            *peer.transport, params_, genesis_, shares[i] / total,
+            crypto::PrivateKey::from_seed(params_.chain_tag + "/miner/" + std::to_string(i))
+                .address(),
+            rng_.fork(0x100 + i), peer, peer.mempool, engine_hooks(i));
     }
 
     // Peer 0 is the observed replica: its mempool drops become explicit
@@ -70,8 +471,60 @@ NakamotoNetwork::NakamotoNetwork(NakamotoParams params, std::uint64_t seed)
         });
 }
 
+NakamotoEngine::Hooks NakamotoNetwork::engine_hooks(NodeId node) {
+    NakamotoEngine::Hooks hooks;
+    // Own blocks enter the overlay, which relays received ones by itself.
+    hooks.flood = [this, node](const Block& block, PeerId from) {
+        if (from == node) gossip_->broadcast(node, "block", encode_to_bytes(block));
+    };
+    hooks.mined = [this, node](const Block& block) {
+        return !mined_hook_ || mined_hook_(node, block);
+    };
+    hooks.inserted = [this, node](const Block& block) {
+        if (ChainEvents* ev = find_events(node); ev != nullptr && ev->on_block_inserted)
+            ev->on_block_inserted(block, scheduler_.now());
+    };
+    hooks.reorged = [this, node](const std::vector<Hash256>& disconnected,
+                                 const std::vector<Hash256>& connected) {
+        on_reorg(node, disconnected, connected);
+    };
+    return hooks;
+}
+
+void NakamotoNetwork::on_reorg(NodeId node, const std::vector<Hash256>& disconnected,
+                               const std::vector<Hash256>& connected) {
+    // Peer 0 is the lifecycle-observed replica; chain events go to whichever
+    // nodes registered an observer set.
+    const ledger::ChainStore& chain = peers_[node].engine->chain();
+    const SimTime at = scheduler_.now();
+    const std::uint64_t tip_height = peers_[node].engine->height();
+    if (node == 0) {
+        for (const auto& hash : disconnected) {
+            const auto* entry = chain.find(hash);
+            lifecycle_.on_block_disconnected(entry->height, entry->block.txids());
+        }
+        for (const auto& hash : connected) {
+            const auto* entry = chain.find(hash);
+            lifecycle_.on_block_connected(entry->height, entry->block.txids(), at);
+        }
+        lifecycle_.on_tip_height(tip_height, at);
+        auto& tracer = obs::Tracer::global();
+        if (tracer.enabled() && !disconnected.empty()) {
+            tracer.instant("chain.reorg", "consensus", at, node,
+                           {{"depth", obs::trace_arg(static_cast<std::uint64_t>(
+                                 disconnected.size()))},
+                            {"connected", obs::trace_arg(static_cast<std::uint64_t>(
+                                 connected.size()))}});
+        }
+    }
+    if (ChainEvents* ev = find_events(node); ev != nullptr) {
+        if (ev->on_reorg) ev->on_reorg(disconnected, connected, at);
+        if (ev->on_tip_changed) ev->on_tip_changed(peers_[node].engine->tip(), tip_height, at);
+    }
+}
+
 void NakamotoNetwork::start() {
-    for (NodeId i = 0; i < peers_.size(); ++i) schedule_mining(i);
+    for (auto& peer : peers_) peer.engine->start();
 }
 
 void NakamotoNetwork::run_for(SimDuration duration) {
@@ -89,406 +542,78 @@ void NakamotoNetwork::on_gossip(NodeId node, NodeId from, const std::string& top
     // time and acting node, so interleaved multi-node logs stay attributable.
     const ScopedLogTime log_time(scheduler_.now());
     const ScopedLogNode log_node(node);
-    if (topic == "tx") {
-        try {
-            auto tx = decode_from_bytes<Transaction>(payload);
-            // Lifecycle stamps are no-ops for untracked ids; the txid is
-            // computed by mempool admission anyway (cached), so this is cheap.
-            const Hash256 txid = tx.txid();
-            if (node != from) lifecycle_.on_first_seen(txid, node, scheduler_.now());
-            const ledger::AdmissionResult verdict =
-                peers_[node].mempool.admit(std::move(tx), scheduler_.now());
-            if (verdict == ledger::AdmissionResult::kAccepted ||
-                verdict == ledger::AdmissionResult::kRbfReplaced)
-                lifecycle_.on_mempool_accepted(txid, node, scheduler_.now());
-        } catch (const Error&) {
-            // Undecodable gossip is dropped silently, as a real peer would.
-        }
+    if (topic != "tx") {
+        peers_[node].engine->handle(from, topic, payload);
         return;
     }
-    if (topic == "block" || topic == "d/block") {
-        try {
-            handle_block(node, decode_from_bytes<Block>(payload), from);
-        } catch (const Error&) {
-        }
-        return;
+    try {
+        auto tx = decode_from_bytes<Transaction>(payload);
+        // Lifecycle stamps are no-ops for untracked ids; the txid is
+        // computed by mempool admission anyway (cached), so this is cheap.
+        const Hash256 txid = tx.txid();
+        if (node != from) lifecycle_.on_first_seen(txid, node, scheduler_.now());
+        const ledger::AdmissionResult verdict =
+            peers_[node].mempool.admit(std::move(tx), scheduler_.now());
+        if (verdict == ledger::AdmissionResult::kAccepted ||
+            verdict == ledger::AdmissionResult::kRbfReplaced)
+            lifecycle_.on_mempool_accepted(txid, node, scheduler_.now());
+    } catch (const Error&) {
+        // Undecodable gossip is dropped silently, as a real peer would.
     }
-    if (topic == "d/getblock") {
-        // Peer `from` asks for one block by hash; reply when we have it so its
-        // ancestor walk makes progress, or tell it we can't help so it may
-        // retry elsewhere.
-        if (payload.size() != 32) return;
-        const Hash256 want = Hash256::from_bytes(payload);
-        const auto* entry = peers_[node].chain->find(want);
-        if (entry != nullptr) {
-            gossip_->send_direct(node, from, "d/block", encode_to_bytes(entry->block));
-        } else {
-            gossip_->send_direct(node, from, "d/notfound", want.bytes());
-        }
-        return;
-    }
-    if (topic == "d/notfound") {
-        // The peer we asked lacks the block; clear the in-flight marker so a
-        // later arrival can trigger a fresh request toward a better peer.
-        if (payload.size() != 32) return;
-        peers_[node].sync_requested.erase(Hash256::from_bytes(payload));
-        return;
-    }
-}
-
-void NakamotoNetwork::handle_block(NodeId node, const Block& block, NodeId from) {
-    Peer& peer = peers_[node];
-    if (peer.chain->contains(block.hash())) return;
-    if (!peer.chain->contains(block.header.prev_hash)) {
-        auto& siblings = peer.orphans[block.header.prev_hash];
-        const Hash256 hash = block.hash();
-        const bool duplicate =
-            std::any_of(siblings.begin(), siblings.end(),
-                        [&](const Block& b) { return b.hash() == hash; });
-        if (!duplicate) siblings.push_back(block);
-        request_block(node, block.header.prev_hash, from);
-        return;
-    }
-    try_insert_and_update(node, block);
-}
-
-void NakamotoNetwork::request_block(NodeId node, const Hash256& hash, NodeId from) {
-    Peer& peer = peers_[node];
-    if (from == node) return; // locally injected: nobody to ask
-    if (!peer.sync_requested.insert(hash).second) return; // already in flight
-    gossip_->send_direct(node, from, "d/getblock", hash.bytes());
-}
-
-void NakamotoNetwork::try_insert_and_update(NodeId node, const Block& block) {
-    Peer& peer = peers_[node];
-
-    // Insert the block and any orphans it unblocks (BFS).
-    std::vector<Block> pending{block};
-    while (!pending.empty()) {
-        const Block current = std::move(pending.back());
-        pending.pop_back();
-        const Hash256 hash = current.hash();
-        peer.sync_requested.erase(hash); // a pending ancestor fetch is satisfied
-        if (!peer.chain->contains(hash)) {
-            const auto target = ledger::compact_to_target(current.header.bits);
-            peer.chain->insert(current, ledger::work_from_target(target),
-                               scheduler_.now());
-            if (ChainEvents* ev = find_events(node);
-                ev != nullptr && ev->on_block_inserted)
-                ev->on_block_inserted(current, scheduler_.now());
-        }
-        const auto it = peer.orphans.find(hash);
-        if (it != peer.orphans.end()) {
-            for (auto& orphan : it->second) pending.push_back(std::move(orphan));
-            peer.orphans.erase(it);
-        }
-    }
-
-    update_active_tip(node);
-}
-
-Hash256 NakamotoNetwork::select_tip(const Peer& peer) const {
-    return params_.branch_rule == BranchRule::kGhost ? peer.chain->best_tip_by_ghost()
-                                                     : peer.chain->best_tip_by_work();
-}
-
-bool NakamotoNetwork::path_contains_invalid(const Peer& peer,
-                                            const Hash256& tip) const {
-    if (peer.invalid.empty()) return false;
-    for (const auto& hash : peer.chain->path_from_genesis(tip))
-        if (peer.invalid.contains(hash)) return true;
-    return false;
-}
-
-void NakamotoNetwork::update_active_tip(NodeId node) {
-    Peer& peer = peers_[node];
-    for (;;) {
-        const Hash256 best = select_tip(peer);
-        if (best == peer.active_tip) return;
-        if (path_contains_invalid(peer, best)) {
-            // Fall back to most-work valid leaf.
-            Hash256 fallback = peer.active_tip;
-            crypto::U256 fallback_work =
-                peer.chain->find(peer.active_tip)->cumulative_work;
-            for (const auto& leaf : peer.chain->leaves()) {
-                if (path_contains_invalid(peer, leaf)) continue;
-                const auto* entry = peer.chain->find(leaf);
-                if (entry->cumulative_work > fallback_work) {
-                    fallback = leaf;
-                    fallback_work = entry->cumulative_work;
-                }
-            }
-            if (fallback == peer.active_tip) return;
-            reorg_to(node, fallback);
-            return;
-        }
-        reorg_to(node, best);
-        // A failed connect marks blocks invalid and restores the old tip; loop to
-        // re-select. A successful reorg leaves active_tip == best and we exit.
-        if (peer.active_tip == best) return;
-    }
-}
-
-void NakamotoNetwork::reorg_to(NodeId node, const Hash256& new_tip) {
-    Peer& peer = peers_[node];
-    if (new_tip == peer.active_tip) return;
-    const auto path = peer.chain->reorg_path(peer.active_tip, new_tip);
-    if (!path.disconnect.empty()) {
-        ++stats_.reorgs;
-        reorgs_->inc();
-    }
-
-    // Disconnect the old branch (tip first), returning its txs to the mempool.
-    for (const auto& hash : path.disconnect) {
-        const auto undo_it = peer.undo.find(hash);
-        DLT_INVARIANT(undo_it != peer.undo.end());
-        peer.utxo.undo_block(undo_it->second);
-        peer.undo.erase(undo_it);
-        peer.mempool.add_back(peer.chain->find(hash)->block.txs, scheduler_.now());
-    }
-    Hash256 reached = path.disconnect.empty()
-                          ? peer.active_tip
-                          : peer.chain->find(path.disconnect.back())->block.header.prev_hash;
-
-    // Connect the new branch (oldest first).
-    std::vector<Hash256> connected;
-    for (const auto& hash : path.connect) {
-        const Block& blk = peer.chain->find(hash)->block;
-        try {
-            peer.undo.emplace(hash, ledger::connect_block(blk, peer.utxo,
-                                                          params_.validation));
-        } catch (const ValidationError&) {
-            ++stats_.invalid_blocks;
-            invalid_blocks_->inc();
-            peer.invalid.insert(hash);
-            // Roll back whatever we connected from this branch (newest first),
-            // then restore the old branch so state matches active_tip again.
-            for (auto rit = connected.rbegin(); rit != connected.rend(); ++rit) {
-                const auto undo_it = peer.undo.find(*rit);
-                peer.utxo.undo_block(undo_it->second);
-                peer.undo.erase(undo_it);
-            }
-            for (auto it = path.disconnect.rbegin(); it != path.disconnect.rend();
-                 ++it) {
-                const Block& old_blk = peer.chain->find(*it)->block;
-                peer.undo.emplace(*it, ledger::connect_block(old_blk, peer.utxo,
-                                                             params_.validation));
-            }
-            return; // active_tip unchanged
-        }
-        peer.mempool.remove_confirmed(blk.txids());
-        connected.push_back(hash);
-        reached = hash;
-    }
-
-    peer.active_tip = reached;
-
-    // Observers fire only after the reorg fully succeeded (a failed connect
-    // rolls everything back above, so nothing is emitted for it). Peer 0 is
-    // the lifecycle-observed replica; chain events go to whichever nodes
-    // registered an observer set.
-    if (node == 0) {
-        const SimTime at = scheduler_.now();
-        for (const auto& hash : path.disconnect) {
-            const auto* entry = peer.chain->find(hash);
-            lifecycle_.on_block_disconnected(entry->height, entry->block.txids());
-        }
-        for (const auto& hash : connected) {
-            const auto* entry = peer.chain->find(hash);
-            lifecycle_.on_block_connected(entry->height, entry->block.txids(), at);
-        }
-        const std::uint64_t tip_height = peer.chain->find(reached)->height;
-        lifecycle_.on_tip_height(tip_height, at);
-        auto& tracer = obs::Tracer::global();
-        if (tracer.enabled() && !path.disconnect.empty()) {
-            tracer.instant("chain.reorg", "consensus", at, node,
-                           {{"depth", obs::trace_arg(static_cast<std::uint64_t>(
-                                 path.disconnect.size()))},
-                            {"connected", obs::trace_arg(static_cast<std::uint64_t>(
-                                 connected.size()))}});
-        }
-    }
-    if (ChainEvents* ev = find_events(node); ev != nullptr) {
-        const SimTime at = scheduler_.now();
-        const std::uint64_t tip_height = peer.chain->find(reached)->height;
-        if (ev->on_reorg) ev->on_reorg(path.disconnect, connected, at);
-        if (ev->on_tip_changed) ev->on_tip_changed(reached, tip_height, at);
-    }
-
-    schedule_mining(node); // re-point mining at the new tip
 }
 
 void NakamotoNetwork::set_network_hashrate(double multiplier) {
     DLT_EXPECTS(multiplier > 0);
     network_hashrate_ = multiplier;
-    // Reschedule every miner at the new rate (exponentials are memoryless).
-    for (NodeId i = 0; i < peers_.size(); ++i)
-        if (peers_[i].mining_event) schedule_mining(i);
+    for (auto& peer : peers_) peer.engine->set_network_hashrate(multiplier);
 }
 
 std::uint32_t NakamotoNetwork::next_bits(NodeId node, const Hash256& tip) const {
-    if (!params_.enable_retargeting) return genesis_.header.bits;
-    const Peer& peer = peers_.at(node);
-    const auto* entry = peer.chain->find(tip);
-    DLT_EXPECTS(entry != nullptr);
-    const std::uint64_t next_height = entry->height + 1;
-    if (next_height % params_.retarget.interval_blocks != 0)
-        return entry->block.header.bits;
-
-    // Actual time the last interval took, from block timestamps. Walk back
-    // `interval_blocks` parents so the window spans interval_blocks gaps
-    // (avoiding Bitcoin's famous off-by-one, which at our short retarget
-    // windows would bias difficulty ~12% high).
-    const Hash256 first = peer.chain->ancestor(tip, params_.retarget.interval_blocks);
-    const auto* first_entry = peer.chain->find(first);
-    const std::uint64_t gaps = entry->height - first_entry->height;
-    if (gaps == 0) return entry->block.header.bits;
-    double actual =
-        entry->block.header.timestamp - first_entry->block.header.timestamp;
-    // Normalize to a full window when clipped at genesis.
-    actual *= static_cast<double>(params_.retarget.interval_blocks) /
-              static_cast<double>(gaps);
-    if (actual <= 0) return entry->block.header.bits;
-    return ledger::retarget(entry->block.header.bits, actual, params_.retarget);
+    return peers_.at(node).engine->next_bits(tip);
 }
 
 std::optional<double> NakamotoNetwork::observed_interval(std::size_t window) const {
-    const Peer& peer = peers_.front();
-    const auto path = peer.chain->path_from_genesis(peer.active_tip);
+    const ledger::ChainStore& chain = chain_of(0);
+    const auto path = chain.path_from_genesis(tip_of(0));
     if (path.size() < 3) return std::nullopt;
     const std::size_t take = std::min(window + 1, path.size());
-    const auto& newest = peer.chain->find(path.back())->block.header;
-    const auto& oldest =
-        peer.chain->find(path[path.size() - take])->block.header;
+    const auto& newest = chain.find(path.back())->block.header;
+    const auto& oldest = chain.find(path[path.size() - take])->block.header;
     return (newest.timestamp - oldest.timestamp) / static_cast<double>(take - 1);
 }
 
-void NakamotoNetwork::schedule_mining(NodeId node) {
-    Peer& peer = peers_[node];
-    if (peer.hashrate_share <= 0) return;
-    if (peer.mining_event) scheduler_.cancel(*peer.mining_event);
-    // Expected network interval scales with the current difficulty relative to
-    // genesis, and inversely with total hash power.
-    double interval = params_.block_interval / network_hashrate_;
-    if (params_.enable_retargeting) {
-        const auto to_double = [](const crypto::U256& v) {
-            double out = 0;
-            for (int i = 3; i >= 0; --i)
-                out = out * 18446744073709551616.0 +
-                      static_cast<double>(v.limbs[static_cast<std::size_t>(i)]);
-            return out;
-        };
-        const auto genesis_target = ledger::compact_to_target(genesis_.header.bits);
-        const auto current_target =
-            ledger::compact_to_target(next_bits(node, peer.active_tip));
-        // difficulty ratio = genesis_target / current_target (smaller target =
-        // harder); double precision is ample for interval scaling.
-        interval *= to_double(genesis_target) / to_double(current_target);
-    }
-    const double delay = sample_block_time(peer.hashrate_share, interval, peer.rng);
-    peer.mining_event = scheduler_.schedule_after(delay, [this, node] {
-        peers_[node].mining_event.reset();
-        const Block block = assemble_block(node);
-        ++stats_.blocks_mined;
-        blocks_mined_->inc();
-        auto& tracer = obs::Tracer::global();
-        if (tracer.enabled()) {
-            tracer.instant("block.mined", "consensus", scheduler_.now(), node,
-                           {{"height", obs::trace_arg(block.header.height)},
-                            {"txs", obs::trace_arg(static_cast<std::uint64_t>(
-                                 block.txs.size()))}});
-        }
-        if (mined_hook_ && !mined_hook_(node, block)) {
-            // Withheld: the miner adopts the block privately (it has the most
-            // work locally, so mining continues on the secret fork) and no
-            // frame ever enters the overlay. publish_block() releases it.
-            try_insert_and_update(node, block);
-        } else {
-            gossip_->broadcast(node, "block", encode_to_bytes(block));
-        }
-        // Local delivery runs through the gossip handler, so the miner adopts its
-        // own block exactly like any other peer; mining then restarts via reorg.
-        schedule_mining(node);
-    });
-}
-
 void NakamotoNetwork::publish_block(NodeId node, const Hash256& hash) {
-    const auto* entry = peers_.at(node).chain->find(hash);
-    DLT_EXPECTS(entry != nullptr);
-    gossip_->broadcast(node, "block", encode_to_bytes(entry->block));
-}
-
-ledger::Block NakamotoNetwork::assemble_block(NodeId node) {
-    Peer& peer = peers_[node];
-    const auto* tip_entry = peer.chain->find(peer.active_tip);
-    DLT_INVARIANT(tip_entry != nullptr);
-
-    Block block;
-    block.header.prev_hash = peer.active_tip;
-    block.header.height = tip_entry->height + 1;
-    block.header.timestamp = scheduler_.now();
-    block.header.bits = next_bits(node, peer.active_tip);
-    block.header.nonce = peer.rng.next(); // simulated proof (see DESIGN.md)
-    block.header.proposer = peer.miner;
-
-    // Feerate-ordered template straight off the mempool's maintained index
-    // (no per-block re-sort); only transactions that remain valid in order
-    // are copied into the block.
-    peer.mempool.expire(scheduler_.now());
-    const std::size_t budget = params_.max_block_bytes > 512
-                                   ? params_.max_block_bytes - 512
-                                   : params_.max_block_bytes;
-    const auto candidates =
-        peer.mempool.build_template(budget, params_.max_block_txs);
-    ledger::UtxoSet scratch = peer.utxo;
-    ledger::UtxoUndo scratch_undo;
-    ledger::Amount fees = 0;
-    std::vector<Transaction> chosen;
-    for (const auto& entry : candidates) {
-        try {
-            fees += scratch.check_and_apply(*entry.tx, scratch_undo);
-            chosen.push_back(*entry.tx);
-        } catch (const ValidationError&) {
-            // Stale mempool entry (already spent on this branch); skip it.
-        }
-    }
-
-    const ledger::Amount reward = ledger::block_subsidy(block.header.height) + fees;
-    block.txs.push_back(ledger::make_coinbase(peer.miner, reward, block.header.height));
-    for (auto& tx : chosen) block.txs.push_back(std::move(tx));
-    block.header.merkle_root = block.compute_merkle_root();
-    return block;
+    peers_.at(node).engine->publish(hash);
 }
 
 const Hash256& NakamotoNetwork::tip_of(NodeId node) const {
-    return peers_.at(node).active_tip;
+    return peers_.at(node).engine->tip();
 }
 
 std::uint64_t NakamotoNetwork::height_of(NodeId node) const {
-    const Peer& peer = peers_.at(node);
-    return peer.chain->find(peer.active_tip)->height;
+    return peers_.at(node).engine->height();
 }
 
 bool NakamotoNetwork::converged() const {
-    for (std::size_t i = 1; i < peers_.size(); ++i)
-        if (peers_[i].active_tip != peers_[0].active_tip) return false;
+    for (NodeId i = 1; i < peers_.size(); ++i)
+        if (tip_of(i) != tip_of(0)) return false;
     return true;
 }
 
 std::optional<Hash256> NakamotoNetwork::majority_tip() const {
     std::unordered_map<Hash256, std::size_t> votes;
-    for (const auto& peer : peers_) ++votes[peer.active_tip];
+    for (const auto& peer : peers_) ++votes[peer.engine->tip()];
     for (const auto& [tip, count] : votes)
         if (count * 2 > peers_.size()) return tip;
     return std::nullopt;
 }
 
 std::vector<Block> NakamotoNetwork::canonical_chain() const {
-    const Peer& peer = peers_.front();
+    const ledger::ChainStore& chain = chain_of(0);
     std::vector<Block> blocks;
-    for (const auto& hash : peer.chain->path_from_genesis(peer.active_tip)) {
-        if (hash == peer.chain->genesis_hash()) continue;
-        blocks.push_back(peer.chain->find(hash)->block);
+    for (const auto& hash : chain.path_from_genesis(tip_of(0))) {
+        if (hash == chain.genesis_hash()) continue;
+        blocks.push_back(chain.find(hash)->block);
     }
     return blocks;
 }
@@ -502,32 +627,40 @@ std::uint64_t NakamotoNetwork::confirmed_tx_count() const {
 }
 
 std::size_t NakamotoNetwork::stale_blocks() const {
-    const Peer& peer = peers_.front();
-    return peer.chain->stale_count(peer.active_tip);
+    return chain_of(0).stale_count(tip_of(0));
 }
 
 double NakamotoNetwork::stale_rate() const {
-    const Peer& peer = peers_.front();
-    const std::size_t total = peer.chain->size() - 1; // exclude genesis
+    const std::size_t total = chain_of(0).size() - 1; // exclude genesis
     if (total == 0) return 0.0;
     return static_cast<double>(stale_blocks()) / static_cast<double>(total);
 }
 
 std::optional<std::uint64_t> NakamotoNetwork::confirmations_of(
     const Hash256& txid) const {
-    const Peer& peer = peers_.front();
-    const auto path = peer.chain->path_from_genesis(peer.active_tip);
-    const std::uint64_t tip_height = peer.chain->find(peer.active_tip)->height;
-    for (const auto& hash : path) {
-        const auto* entry = peer.chain->find(hash);
+    const ledger::ChainStore& chain = chain_of(0);
+    const std::uint64_t tip_height = height_of(0);
+    for (const auto& hash : chain.path_from_genesis(tip_of(0))) {
+        const auto* entry = chain.find(hash);
         for (const auto& tx : entry->block.txs)
             if (tx.txid() == txid) return tip_height - entry->height + 1;
     }
     return std::nullopt;
 }
 
+NakamotoStats NakamotoNetwork::stats() const {
+    NakamotoStats total;
+    for (const auto& peer : peers_) {
+        const NakamotoStats& s = peer.engine->stats();
+        total.blocks_mined += s.blocks_mined;
+        total.reorgs += s.reorgs;
+        total.invalid_blocks += s.invalid_blocks;
+    }
+    return total;
+}
+
 const ledger::ChainStore& NakamotoNetwork::chain_of(NodeId node) const {
-    return *peers_.at(node).chain;
+    return peers_.at(node).engine->chain();
 }
 
 const ledger::Mempool& NakamotoNetwork::mempool_of(NodeId node) const {
@@ -540,11 +673,11 @@ ChainEvents* NakamotoNetwork::find_events(NodeId node) {
 }
 
 const ledger::UtxoSet& NakamotoNetwork::utxo_of(NodeId node) const {
-    return peers_.at(node).utxo;
+    return peers_.at(node).utxo_set;
 }
 
 const crypto::Address& NakamotoNetwork::miner_address(NodeId node) const {
-    return peers_.at(node).miner;
+    return peers_.at(node).engine->miner();
 }
 
 } // namespace dlt::consensus

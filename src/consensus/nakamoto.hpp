@@ -1,10 +1,18 @@
-// Nakamoto-consensus network simulation: N mining peers on a gossip overlay,
-// exponential-race block discovery (the standard Poisson model of PoW),
-// longest-chain or GHOST branch selection, full UTXO state with reorgs, and
-// the telemetry behind experiments E1-E3 (convergence, throughput vs block
-// interval, stale/branch rates).
+// Nakamoto consensus (paper §2.4: proof-of-work, and "a branch selection
+// algorithm is used by peers to decide which branch to accept"), in two parts:
+//  - NakamotoEngine: one node's chain — branch index, orphan walk-back,
+//    longest-chain or GHOST fork choice, reorg with rollback, the Poisson
+//    mining race with retargeting, and block assembly — over a
+//    net::transport::Transport and a ChainState, so the deployed
+//    core::Replica runs it too.
+//  - NakamotoNetwork: N engines on a gossip overlay with in-memory UTXO
+//    state, plus tx gossip, lifecycle stamping at peer 0, ChainEvents, stats
+//    and inspection. Drives E01-E03, E14, E22, E24, E25, E27 and the attacks.
 #pragma once
 
+#include <deque>
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -21,6 +29,7 @@
 #include "ledger/validation.hpp"
 #include "net/gossip.hpp"
 #include "net/network.hpp"
+#include "net/transport/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/txlifecycle.hpp"
 #include "sim/scheduler.hpp"
@@ -60,13 +69,148 @@ struct NakamotoParams {
     std::uint64_t finality_depth = 6;
 };
 
-/// Aggregate results captured while the simulation runs. Mirrored into the
-/// global MetricsRegistry (consensus_blocks_mined_total, consensus_reorgs_total,
-/// consensus_invalid_blocks_total).
+/// One engine's counts (NakamotoNetwork::stats() sums every peer's). Mirrored
+/// into the global MetricsRegistry (consensus_blocks_mined_total,
+/// consensus_reorgs_total, consensus_invalid_blocks_total).
 struct NakamotoStats {
     std::uint64_t blocks_mined = 0;
     std::uint64_t reorgs = 0;
     std::uint64_t invalid_blocks = 0;
+};
+
+/// One node's Nakamoto chain, on the transport's callback thread. Topics:
+/// "block" (flood), "d/getblock" / "d/block" / "d/notfound" (ancestor
+/// fetch) and "gettip" (the catch-up probe). Only a ValidationError from
+/// ChainState::connect is a verdict on a block.
+class NakamotoEngine {
+public:
+    using PeerId = net::transport::PeerId;
+
+    /// The state the active chain is applied to: an in-memory UTXO set in
+    /// the simulator, core::PersistentNode in a deployed replica.
+    class ChainState {
+    public:
+        virtual ~ChainState() = default;
+        /// Apply `block` on the tip, or throw and leave the state unchanged:
+        /// ValidationError when the block is invalid there, anything else
+        /// for a fault of the state itself (a disk error).
+        virtual void connect(const ledger::Block& block) = 0;
+        virtual void disconnect_tip(const ledger::Block& tip) = 0;
+        virtual const ledger::UtxoSet& utxo() const = 0; // at the tip
+    };
+
+    /// What the engine asks of its owner. Every hook may be empty.
+    struct Hooks {
+        /// Pass on an own block (`from` is the local id) or one received
+        /// from `from` that joined the index.
+        std::function<void(const ledger::Block&, PeerId from)> flood;
+        /// An own block was mined; false withholds it (indexed locally only,
+        /// until publish()).
+        std::function<bool(const ledger::Block&)> mined;
+        std::function<void(const ledger::Block&)> inserted; // joined the index
+        /// The active tip moved (disconnected old tip first, connected oldest
+        /// first).
+        std::function<void(const std::vector<Hash256>& disconnected,
+                           const std::vector<Hash256>& connected)>
+            reorged;
+    };
+
+    /// Orphans (blocks whose parent is unknown) kept at most. A full pool
+    /// drops the orphans of the parent waited for longest, with that parent's
+    /// fetch marker; a marker exists only for a parent some orphan waits for,
+    /// so in-flight fetches stay under the same bound.
+    static constexpr std::size_t kMaxOrphans = 1024;
+
+    /// `params` supplies the interval, branch rule, block limits, validation
+    /// rules and retargeting; `hashrate_share` is this node's fraction of the
+    /// network's hash power (0: never mines).
+    NakamotoEngine(net::transport::Transport& transport, const NakamotoParams& params,
+                   const ledger::Block& genesis, double hashrate_share,
+                   crypto::Address miner, Rng rng, ChainState& state,
+                   ledger::Mempool& mempool, Hooks hooks);
+    // Timers hold `this`.
+    NakamotoEngine(const NakamotoEngine&) = delete;
+    NakamotoEngine& operator=(const NakamotoEngine&) = delete;
+
+    /// Index a block the state already holds on the active tip (a restarted
+    /// node's recovered chain).
+    void adopt_connected(const ledger::Block& block);
+
+    void start(); // mining
+    void stop();
+
+    /// False when `topic` is not Nakamoto's. Malformed payloads are dropped.
+    bool handle(PeerId from, const std::string& topic, ByteView payload);
+
+    /// Re-ask a random peer for every orphan's parent and for its tip: the
+    /// deployed catch-up after lost frames, a restart or a partition.
+    void sync_probe();
+
+    /// Flood an indexed block as an own block (releases a withheld one).
+    void publish(const Hash256& hash);
+
+    /// Scale the network's hash power; mining is re-aimed at the new rate.
+    void set_network_hashrate(double multiplier);
+    /// Difficulty bits a block extending `tip` must carry.
+    std::uint32_t next_bits(const Hash256& tip) const;
+
+    const ledger::ChainStore& chain() const { return chain_; }
+    const Hash256& tip() const { return active_tip_; }
+    std::uint64_t height() const { return chain_.find(active_tip_)->height; }
+    const crypto::Address& miner() const { return miner_; }
+    const NakamotoStats& stats() const { return stats_; }
+    std::size_t orphan_count() const { return orphan_count_; }
+
+private:
+    /// Index a block from `from` (the local id for an own block), or hold it
+    /// as an orphan and ask `from` for its parent: the walk-back goes one hop
+    /// per round trip until the branch roots in the index.
+    void accept(const ledger::Block& block, PeerId from);
+    void hold_orphan(const ledger::Block& block, const Hash256& hash);
+    void request_block(const Hash256& hash, PeerId from);
+    /// Index `block` and every orphan it unblocks, then re-select the tip.
+    void insert_and_update(const ledger::Block& block);
+    void update_active_tip();
+    bool path_contains_invalid(const Hash256& tip) const;
+    /// True when a block of the new branch proved invalid (selection must run
+    /// again). A state fault restores the old tip and returns false.
+    bool reorg_to(const Hash256& new_tip);
+    /// Apply one indexed block to the state and the mempool, or undo it.
+    void connect_block(const Hash256& hash);
+    void disconnect_block(const Hash256& hash);
+    void schedule_mining();
+    void mine();
+    ledger::Block assemble_block();
+
+    net::transport::Transport& transport_;
+    NakamotoParams params_;
+    std::uint32_t genesis_bits_;
+    double hashrate_share_;
+    crypto::Address miner_;
+    Rng rng_;
+    ChainState& state_;
+    ledger::Mempool& mempool_;
+    Hooks hooks_;
+
+    ledger::ChainStore chain_;
+    Hash256 active_tip_;
+    std::unordered_set<Hash256> invalid_;
+    struct OrphanGroup {
+        std::uint64_t arrival = 0; // of the group's first block
+        std::vector<ledger::Block> blocks;
+    };
+    std::unordered_map<Hash256, OrphanGroup> orphans_; // by parent
+    std::map<std::uint64_t, Hash256> orphan_parents_;  // by arrival: eviction order
+    std::uint64_t orphan_arrivals_ = 0;
+    std::size_t orphan_count_ = 0;
+    std::unordered_set<Hash256> requested_; // parents of orphan groups asked for
+    std::optional<net::transport::TimerId> mining_timer_;
+    double network_hashrate_ = 1.0;
+    NakamotoStats stats_;
+
+    obs::Counter* blocks_mined_ = nullptr;   // consensus_blocks_mined_total
+    obs::Counter* reorgs_ = nullptr;         // consensus_reorgs_total
+    obs::Counter* invalid_blocks_ = nullptr; // consensus_invalid_blocks_total
 };
 
 // ChainEvents (the per-peer observer hook set) lives in consensus/events.hpp,
@@ -151,7 +295,8 @@ public:
     /// while unconfirmed.
     std::optional<std::uint64_t> confirmations_of(const Hash256& txid) const;
 
-    const NakamotoStats& stats() const { return stats_; }
+    /// Totals over every peer's engine.
+    NakamotoStats stats() const;
     const net::TrafficStats& traffic() const { return network_->stats(); }
 
     /// Transaction lifecycle telemetry (submit → first-seen → mempool →
@@ -175,36 +320,27 @@ public:
     sim::Scheduler& scheduler() { return scheduler_; }
 
 private:
-    struct Peer {
-        std::unique_ptr<ledger::ChainStore> chain;
-        Hash256 active_tip;
-        ledger::UtxoSet utxo; // state at active_tip
-        std::unordered_map<Hash256, ledger::UtxoUndo> undo; // connected blocks
+    /// One simulated node: its view of the overlay, its UTXO set at the active
+    /// tip with undo data per connected block (the engine's chain state), its
+    /// mempool and its engine.
+    struct Peer final : NakamotoEngine::ChainState {
+        void connect(const ledger::Block& block) override;
+        void disconnect_tip(const ledger::Block& tip) override;
+        const ledger::UtxoSet& utxo() const override { return utxo_set; }
+
+        const ledger::ValidationRules* rules = nullptr;
+        std::unique_ptr<net::transport::Transport> transport;
+        ledger::UtxoSet utxo_set;
+        std::unordered_map<Hash256, ledger::UtxoUndo> undo;
         ledger::Mempool mempool;
-        crypto::Address miner;
-        double hashrate_share = 0;
-        std::optional<sim::EventId> mining_event;
-        std::unordered_map<Hash256, std::vector<ledger::Block>> orphans; // by parent
-        std::unordered_set<Hash256> invalid;
-        std::unordered_set<Hash256> sync_requested; // ancestor fetches in flight
-        Rng rng;
+        std::unique_ptr<NakamotoEngine> engine;
     };
 
     void on_gossip(net::NodeId node, net::NodeId from, const std::string& topic,
                    ByteView payload);
-    void handle_block(net::NodeId node, const ledger::Block& block,
-                      net::NodeId from);
-    /// Ask `from` for a block we are missing (orphan-parent fetch; the request
-    /// walks back one hop per round trip until the branch roots in our chain —
-    /// how peers resynchronize after a partition heals).
-    void request_block(net::NodeId node, const Hash256& hash, net::NodeId from);
-    void try_insert_and_update(net::NodeId node, const ledger::Block& block);
-    void update_active_tip(net::NodeId node);
-    Hash256 select_tip(const Peer& peer) const;
-    bool path_contains_invalid(const Peer& peer, const Hash256& tip) const;
-    void reorg_to(net::NodeId node, const Hash256& new_tip);
-    void schedule_mining(net::NodeId node);
-    ledger::Block assemble_block(net::NodeId node);
+    NakamotoEngine::Hooks engine_hooks(net::NodeId node);
+    void on_reorg(net::NodeId node, const std::vector<Hash256>& disconnected,
+                  const std::vector<Hash256>& connected);
     /// Observer set for `node`, or nullptr when none was registered.
     ChainEvents* find_events(net::NodeId node);
 
@@ -215,15 +351,11 @@ private:
     Rng rng_;
     std::unique_ptr<net::Network> network_;
     std::unique_ptr<net::GossipOverlay> gossip_;
-    std::vector<Peer> peers_;
+    std::deque<Peer> peers_; // engines hold references into their Peer
     ledger::Block genesis_;
-    NakamotoStats stats_;
     obs::TxLifecycleTracker lifecycle_;
     /// Per-node chain-event observers, materialized on first events() access.
     std::unordered_map<net::NodeId, ChainEvents> observers_;
-    obs::Counter* blocks_mined_ = nullptr;   // consensus_blocks_mined_total
-    obs::Counter* reorgs_ = nullptr;         // consensus_reorgs_total
-    obs::Counter* invalid_blocks_ = nullptr; // consensus_invalid_blocks_total
 };
 
 } // namespace dlt::consensus

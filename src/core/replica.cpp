@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "crypto/keys.hpp"
-#include "ledger/amount.hpp"
 
 namespace dlt::core {
 
@@ -47,12 +46,6 @@ std::pair<std::uint64_t, Block> decode_seq_block(ByteView payload) {
     Block block = Block::decode(r);
     r.expect_done();
     return {seq, std::move(block)};
-}
-
-Bytes encode_hash(const Hash256& hash) {
-    Writer w;
-    w.fixed(hash);
-    return std::move(w).take();
 }
 
 /// Decode a whole "txs"/"txr" payload; throws DecodeError on any defect
@@ -96,22 +89,15 @@ Replica::Replica(net::transport::Transport& transport, ReplicaConfig config)
       mempool_(config_.mempool),
       miner_(crypto::PrivateKey::from_seed(config_.chain_tag + "/miner/" +
                                            std::to_string(transport.local_id()))
-                 .address()),
-      chain_(ledger::make_genesis(config_.chain_tag, config_.genesis_bits)) {
+                 .address()) {
     DLT_EXPECTS(config_.node_count >= 1);
     rules_.max_block_bytes = config_.max_block_bytes;
     rules_.max_txs_per_block = config_.max_block_txs;
     rules_.sig_mode = config_.sig_mode;
 
-    // Seed the in-memory branch index with the recovered canonical chain so
-    // fork choice and reorg paths work immediately after a restart.
-    for (const Hash256& hash : node_.chain().path_from_genesis(node_.tip())) {
-        if (hash == chain_.genesis_hash()) continue;
-        chain_.insert(node_.chain().find(hash)->block, crypto::U256::one());
-    }
-    confirmed_txs_ = 0;
-    for (const Hash256& hash : chain_.path_from_genesis(node_.tip()))
-        for (const Transaction& tx : chain_.find(hash)->block.txs)
+    const auto recovered = node_.chain().path_from_genesis(node_.tip());
+    for (const Hash256& hash : recovered)
+        for (const Transaction& tx : node_.chain().find(hash)->block.txs)
             if (!tx.is_coinbase()) {
                 ++confirmed_txs_;
                 seen_txs_.insert(tx.txid());
@@ -122,7 +108,32 @@ Replica::Replica(net::transport::Transport& transport, ReplicaConfig config)
     mempool_.set_drop_observer(
         [this](const Hash256& txid, auto, auto) { submitted_at_.erase(txid); });
 
-    if (config_.engine == ReplicaEngine::kPbft) {
+    if (config_.engine == ReplicaEngine::kNakamoto) {
+        consensus::NakamotoParams params;
+        params.node_count = config_.node_count;
+        params.block_interval = config_.block_interval;
+        params.max_block_bytes = config_.max_block_bytes;
+        params.max_block_txs = config_.max_block_txs;
+        params.validation = rules_;
+        params.chain_tag = config_.chain_tag;
+        consensus::NakamotoEngine::Hooks hooks;
+        hooks.flood = [this](const Block& block, PeerId from) {
+            const Bytes wire = encode_to_bytes(block);
+            if (from == transport_.local_id())
+                transport_.broadcast("block", ByteView(wire));
+            else
+                transport_.broadcast_except(from, "block", ByteView(wire));
+        };
+        hooks.reorged = [this](const auto&, const auto&) { repair_left_out(); };
+        nakamoto_ = std::make_unique<consensus::NakamotoEngine>(
+            transport_, params, ledger::make_genesis(config_.chain_tag, config_.genesis_bits),
+            1.0 / config_.node_count, miner_, rng_.fork(1), static_cast<ChainState&>(*this),
+            mempool_, std::move(hooks));
+        // The recovered chain is connected already: index it.
+        for (const Hash256& hash : recovered)
+            if (hash != node_.chain().genesis_hash())
+                nakamoto_->adopt_connected(node_.chain().find(hash)->block);
+    } else {
         consensus::PbftEngine::Hooks hooks;
         hooks.execute = [this](consensus::CommittedBatch batch) {
             // One encoded block per batch, at sequence == height. One that
@@ -154,8 +165,8 @@ Replica::Replica(net::transport::Transport& transport, ReplicaConfig config)
 void Replica::start() {
     if (running_) return;
     running_ = true;
-    if (config_.engine == ReplicaEngine::kNakamoto) {
-        nk_schedule_mining();
+    if (nakamoto_) {
+        nakamoto_->start();
     } else {
         pbft_->set_active(true);
         // Every replica ticks: whichever is primary in the current view proposes.
@@ -170,10 +181,9 @@ void Replica::stop() {
     if (!running_) return;
     running_ = false;
     if (pbft_) pbft_->set_active(false);
-    if (mining_timer_) transport_.cancel_timer(*mining_timer_);
+    if (nakamoto_) nakamoto_->stop();
     if (propose_timer_) transport_.cancel_timer(*propose_timer_);
     if (sync_timer_) transport_.cancel_timer(*sync_timer_);
-    mining_timer_.reset();
     propose_timer_.reset();
     sync_timer_.reset();
 }
@@ -181,8 +191,8 @@ void Replica::stop() {
 void Replica::arm_sync_timer() {
     sync_timer_ = transport_.schedule_after(config_.sync_interval, [this] {
         if (!running_) return;
-        if (config_.engine == ReplicaEngine::kNakamoto) {
-            nk_sync_probe();
+        if (nakamoto_) {
+            nakamoto_->sync_probe();
         } else {
             // Ask a random peer for the next committed sequence; it answers
             // only when it has one. Covers bootstrap, missed commits, rejoin.
@@ -257,46 +267,12 @@ void Replica::receive_batch(PeerId from, ByteView payload, bool repair) {
         transport_.broadcast_except(from, "txs", ByteView(onward.take()));
 }
 
-ledger::Block Replica::assemble_block() {
-    Block block;
-    block.header.prev_hash = node_.tip();
-    block.header.height = node_.height() + 1;
-    block.header.timestamp = transport_.now();
-    block.header.bits = config_.genesis_bits;
-    block.header.nonce = rng_.next(); // simulated proof, as in the simulator
-    block.header.proposer = miner_;
-
-    const std::size_t budget = config_.max_block_bytes > 512
-                                   ? config_.max_block_bytes - 512
-                                   : config_.max_block_bytes;
-    const auto candidates = mempool_.build_template(budget, config_.max_block_txs);
-    ledger::UtxoSet scratch = node_.utxo();
-    ledger::UtxoUndo scratch_undo;
-    ledger::Amount fees = 0;
-    std::vector<Transaction> chosen;
-    for (const auto& entry : candidates) {
-        try {
-            fees += scratch.check_and_apply(*entry.tx, scratch_undo);
-            chosen.push_back(*entry.tx);
-        } catch (const ValidationError&) {
-            // Stale mempool entry on this branch; skip it.
-        }
-    }
-    const ledger::Amount reward = ledger::block_subsidy(block.header.height) + fees;
-    block.txs.push_back(ledger::make_coinbase(miner_, reward, block.header.height));
-    for (auto& tx : chosen) block.txs.push_back(std::move(tx));
-    block.header.merkle_root = block.compute_merkle_root();
-    return block;
-}
-
-void Replica::connected(const Block& block) {
-    std::vector<Hash256> ids;
-    ids.reserve(block.txs.size());
+void Replica::connect(const Block& block) {
+    node_.connect_block(block);
     const double t = transport_.now();
     for (const Transaction& tx : block.txs) {
         if (tx.is_coinbase()) continue;
         const Hash256 txid = tx.txid();
-        ids.push_back(txid);
         seen_txs_.insert(txid); // a later relay must not re-admit it
         ++confirmed_txs_;
         if (const auto it = submitted_at_.find(txid); it != submitted_at_.end()) {
@@ -304,8 +280,12 @@ void Replica::connected(const Block& block) {
             submitted_at_.erase(it);
         }
     }
-    mempool_.remove_confirmed(ids);
-    repair_left_out();
+}
+
+void Replica::disconnect_tip(const Block& tip) {
+    node_.disconnect_tip();
+    for (const Transaction& tx : tip.txs)
+        if (!tx.is_coinbase()) --confirmed_txs_;
 }
 
 void Replica::repair_left_out() {
@@ -329,39 +309,14 @@ void Replica::repair_left_out() {
     if (!due.empty()) transport_.broadcast("txr", ByteView(due.take()));
 }
 
-void Replica::disconnected(const Block& block) {
-    std::vector<Transaction> back;
-    for (const Transaction& tx : block.txs)
-        if (!tx.is_coinbase()) {
-            --confirmed_txs_;
-            back.push_back(tx);
-        }
-    mempool_.add_back(back, transport_.now());
-}
-
 void Replica::on_message(PeerId from, const std::string& topic, ByteView payload) {
     if (topic == "txs" || topic == "txr") { // "txr": the submitter's repair
         if (running_) receive_batch(from, payload, topic == "txr");
         return;
     }
 
-    if (config_.engine == ReplicaEngine::kNakamoto) {
-        if (topic == "blk") {
-            if (!running_) return;
-            nk_handle_block(decode_from_bytes<Block>(payload), from,
-                            /*relay=*/true);
-        } else if (topic == "getblk") {
-            Reader r(payload);
-            const Hash256 hash = r.fixed<32>();
-            r.expect_done();
-            if (const auto* entry = chain_.find(hash))
-                transport_.send(from, "blk", ByteView(encode_to_bytes(entry->block)));
-        } else if (topic == "gettip") {
-            if (node_.height() > 0)
-                transport_.send(from, "blk",
-                                ByteView(encode_to_bytes(
-                                    chain_.find(node_.tip())->block)));
-        }
+    if (nakamoto_) {
+        if (running_) nakamoto_->handle(from, topic, payload);
         return;
     }
 
@@ -386,141 +341,6 @@ void Replica::on_message(PeerId from, const std::string& topic, ByteView payload
     }
 }
 
-// --- Nakamoto ---------------------------------------------------------------
-
-void Replica::nk_handle_block(const Block& block, PeerId from, bool relay) {
-    const Hash256 hash = block.hash();
-    requested_.erase(hash);
-    if (chain_.contains(hash) || invalid_.contains(hash)) return;
-    try {
-        ledger::check_block_structure(block, rules_);
-    } catch (const ValidationError&) {
-        invalid_.insert(hash);
-        return;
-    }
-    if (!chain_.contains(block.header.prev_hash)) {
-        auto& waiting = orphans_[block.header.prev_hash];
-        if (std::none_of(waiting.begin(), waiting.end(),
-                         [&](const Block& b) { return b.hash() == hash; }))
-            waiting.push_back(block);
-        nk_request_block(block.header.prev_hash, from);
-        return;
-    }
-    nk_try_insert(block);
-    if (relay)
-        transport_.broadcast_except(from, "blk", ByteView(encode_to_bytes(block)));
-    nk_update_active_tip();
-}
-
-void Replica::nk_try_insert(const Block& block) {
-    // Insert the block, then any orphans that became connectable through it.
-    std::vector<Block> queue{block};
-    while (!queue.empty()) {
-        Block b = std::move(queue.back());
-        queue.pop_back();
-        const Hash256 h = b.hash();
-        if (!chain_.contains(h))
-            chain_.insert(b, crypto::U256::one(), transport_.now());
-        if (const auto it = orphans_.find(h); it != orphans_.end()) {
-            for (auto& child : it->second) queue.push_back(std::move(child));
-            orphans_.erase(it);
-        }
-    }
-}
-
-Hash256 Replica::nk_select_tip() const {
-    if (invalid_.empty()) return chain_.best_tip_by_work();
-    // Best-work leaf whose ancestry avoids every invalid block. The current
-    // durable tip is always a valid fallback.
-    Hash256 winner = node_.tip();
-    crypto::U256 winner_work = chain_.find(winner)->cumulative_work;
-    for (const Hash256& leaf : chain_.leaves()) {
-        bool tainted = false;
-        for (Hash256 walk = leaf; walk != chain_.genesis_hash();
-             walk = chain_.find(walk)->block.header.prev_hash) {
-            if (invalid_.contains(walk)) {
-                tainted = true;
-                break;
-            }
-        }
-        if (tainted) continue;
-        const auto* entry = chain_.find(leaf);
-        if (entry->cumulative_work > winner_work ||
-            (entry->cumulative_work == winner_work && leaf < winner)) {
-            winner = leaf;
-            winner_work = entry->cumulative_work;
-        }
-    }
-    return winner;
-}
-
-void Replica::nk_mark_invalid(const Hash256& hash) {
-    std::vector<Hash256> queue{hash};
-    while (!queue.empty()) {
-        const Hash256 h = queue.back();
-        queue.pop_back();
-        if (!invalid_.insert(h).second) continue;
-        for (const Hash256& child : chain_.children(h)) queue.push_back(child);
-    }
-}
-
-void Replica::nk_update_active_tip() {
-    while (true) {
-        const Hash256 best = nk_select_tip();
-        if (best == node_.tip()) return;
-        const auto path = chain_.reorg_path(node_.tip(), best);
-        bool failed = false;
-        for (const Hash256& h : path.disconnect) {
-            const auto* entry = chain_.find(h);
-            node_.disconnect_tip();
-            disconnected(entry->block);
-        }
-        for (const Hash256& h : path.connect) {
-            const auto* entry = chain_.find(h);
-            try {
-                node_.connect_block(entry->block);
-            } catch (const Error&) {
-                nk_mark_invalid(h); // contextually invalid: taint the subtree
-                failed = true;
-                break;
-            }
-            connected(entry->block);
-        }
-        if (!failed) return;
-    }
-}
-
-void Replica::nk_request_block(const Hash256& hash, PeerId from) {
-    if (chain_.contains(hash) || !requested_.insert(hash).second) return;
-    if (!transport_.send(from, "getblk", ByteView(encode_hash(hash))) &&
-        !transport_.peer_ids().empty())
-        transport_.send(random_peer(), "getblk", ByteView(encode_hash(hash)));
-}
-
-void Replica::nk_schedule_mining() {
-    const double rate = 1.0 / (config_.block_interval * config_.node_count);
-    const double delay = rng_.exponential(rate);
-    mining_timer_ = transport_.schedule_after(delay, [this] {
-        mining_timer_.reset();
-        if (!running_) return;
-        const Block block = assemble_block();
-        nk_handle_block(block, transport_.local_id(), /*relay=*/false);
-        transport_.broadcast("blk", ByteView(encode_to_bytes(block)));
-        nk_schedule_mining();
-    });
-}
-
-void Replica::nk_sync_probe() {
-    if (transport_.peer_ids().empty()) return;
-    // Re-issue fetches that went unanswered (lost frame, peer was down).
-    requested_.clear();
-    std::vector<Hash256> missing;
-    for (const auto& [parent, blocks] : orphans_) missing.push_back(parent);
-    for (const Hash256& parent : missing) nk_request_block(parent, random_peer());
-    // Bootstrap / divergence repair: learn a random peer's tip.
-    transport_.send(random_peer(), "gettip", ByteView());
-}
-
 // --- PBFT -------------------------------------------------------------------
 
 void Replica::pbft_propose() {
@@ -528,8 +348,17 @@ void Replica::pbft_propose() {
     if (!running_) return;
     // One block in flight at a time, at sequence == height.
     if (pbft_->is_primary() && !mempool_.empty() && !pbft_->in_flight() &&
-        pbft_->last_executed() == node_.height())
-        pbft_->propose({encode_to_bytes(assemble_block())});
+        pbft_->last_executed() == node_.height()) {
+        ledger::BlockHeader header;
+        header.prev_hash = node_.tip();
+        header.height = node_.height() + 1;
+        header.timestamp = transport_.now();
+        header.bits = config_.genesis_bits;
+        header.nonce = rng_.next(); // simulated proof, as in the simulator
+        header.proposer = miner_;
+        pbft_->propose({encode_to_bytes(ledger::assemble_block(
+            header, mempool_, node_.utxo(), config_.max_block_bytes, config_.max_block_txs))});
+    }
     propose_timer_ = transport_.schedule_after(config_.block_interval,
                                                [this] { pbft_propose(); });
 }
@@ -538,11 +367,12 @@ bool Replica::pbft_connect(const Block& block) {
     if (block.header.prev_hash != node_.tip()) return false;
     try {
         ledger::check_block_structure(block, rules_);
-        node_.connect_block(block);
+        connect(block);
     } catch (const Error&) {
         return false;
     }
-    connected(block);
+    mempool_.remove_confirmed(block.txids());
+    repair_left_out();
     return true;
 }
 

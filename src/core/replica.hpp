@@ -5,13 +5,20 @@
 //
 // Two engines (ReplicaEngine):
 //
-//   kNakamoto — proof-of-work longest chain. Block discovery is the standard
-//     Poisson race (each replica holds 1/n of the hash power, so the network
-//     mines one block per block_interval in expectation), blocks flood to all
-//     peers, branches are tracked in an in-memory ChainStore and the most-work
-//     tip wins (ties to the lower hash — the network-wide rule the sim uses).
-//     Missing ancestry is fetched hop-by-hop ("getblk" walk-back), which also
-//     serves as the catch-up path after a restart or partition.
+//   kNakamoto — consensus::NakamotoEngine, the Nakamoto consensus the
+//     simulator's NakamotoNetwork runs: the exponential mining race (each
+//     replica holds 1/n of the hash power, so the network mines one block per
+//     block_interval in expectation), a branch index over every block seen,
+//     most-work fork choice (ties to the lower hash) with the fallback off an
+//     invalid branch, and reorgs applied to the PersistentNode with rollback.
+//     Own blocks go to every peer and a received block that joins the index
+//     goes on to every peer but its sender ("block"). A block with an unknown
+//     parent waits in a bounded orphan pool while its ancestry is fetched
+//     hop by hop ("d/getblock" answered by "d/block" or "d/notfound"); every
+//     sync_interval the replica re-asks for missing parents and asks a
+//     random peer for its tip ("gettip"), which is also the catch-up path
+//     after a restart or partition. Only a ValidationError from connecting a
+//     block marks it invalid; a disk error leaves it eligible.
 //
 //   kPbft — consensus::PbftEngine, the PBFT the simulator's PbftCluster runs
 //     (digest-bound votes, view change after 10 block intervals without
@@ -65,9 +72,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "consensus/nakamoto.hpp"
 #include "consensus/pbft.hpp"
 #include "core/persistent_node.hpp"
-#include "ledger/chain.hpp"
 #include "ledger/mempool.hpp"
 #include "ledger/validation.hpp"
 #include "net/transport/transport.hpp"
@@ -104,7 +111,7 @@ struct ReplicaConfig {
     double sync_interval = 0.5;
 };
 
-class Replica {
+class Replica : private consensus::NakamotoEngine::ChainState {
 public:
     /// Opens (or recovers) the durable node under config.data_dir and
     /// installs the transport handler. Timers start at start().
@@ -136,16 +143,21 @@ public:
     std::size_t mempool_size() const { return mempool_.size(); }
     /// Own submissions neither confirmed nor dropped by the mempool yet.
     std::size_t pending_submissions() const { return submitted_at_.size(); }
+    /// Blocks waiting for an unknown parent (Nakamoto; 0 for PBFT).
+    std::size_t orphan_blocks() const { return nakamoto_ ? nakamoto_->orphan_count() : 0; }
     PersistentNode& node() { return node_; }
     const ReplicaConfig& config() const { return config_; }
 
 private:
+    // Chain state (both engines): the PersistentNode, plus the confirmed-tx
+    // count, the seen-set and the latency of own submissions.
+    void connect(const ledger::Block& block) override;
+    void disconnect_tip(const ledger::Block& tip) override;
+    const ledger::UtxoSet& utxo() const override { return node_.utxo(); }
+
     // Shared paths -----------------------------------------------------------
     void on_message(net::transport::PeerId from, const std::string& topic,
                     ByteView payload);
-    ledger::Block assemble_block();
-    void connected(const ledger::Block& block);
-    void disconnected(const ledger::Block& block);
     net::transport::PeerId random_peer();
     void arm_sync_timer();
     /// Every configured replica is a direct peer (the relay policy's switch).
@@ -156,17 +168,6 @@ private:
     void flush_own();
     /// Admit a received "txs"/"txr" batch and relay or forward its share.
     void receive_batch(net::transport::PeerId from, ByteView payload, bool repair);
-
-    // Nakamoto ---------------------------------------------------------------
-    void nk_handle_block(const ledger::Block& block, net::transport::PeerId from,
-                         bool relay);
-    void nk_try_insert(const ledger::Block& block);
-    void nk_update_active_tip();
-    Hash256 nk_select_tip() const;
-    void nk_mark_invalid(const Hash256& hash);
-    void nk_request_block(const Hash256& hash, net::transport::PeerId from);
-    void nk_schedule_mining();
-    void nk_sync_probe();
 
     // PBFT -------------------------------------------------------------------
     void pbft_propose();
@@ -182,12 +183,8 @@ private:
     ledger::Mempool mempool_;
     crypto::Address miner_;
 
-    // Nakamoto branch tracking (seeded from the durable canonical chain).
-    ledger::ChainStore chain_;
-    std::unordered_map<Hash256, std::vector<ledger::Block>> orphans_; // by parent
-    std::unordered_set<Hash256> invalid_;
-    std::unordered_set<Hash256> requested_; // ancestor fetches in flight
-    std::optional<net::transport::TimerId> mining_timer_;
+    // Nakamoto chain (kNakamoto only).
+    std::unique_ptr<consensus::NakamotoEngine> nakamoto_;
 
     // PBFT agreement (kPbft only) and the proposal tick.
     std::unique_ptr<consensus::PbftEngine> pbft_;

@@ -5,6 +5,7 @@
 #include "common/checkqueue.hpp"
 #include "common/error.hpp"
 #include "crypto/sigcache.hpp"
+#include "ledger/mempool.hpp"
 #include "obs/metrics.hpp"
 
 namespace dlt::ledger {
@@ -130,6 +131,41 @@ UtxoUndo connect_block(const Block& block, UtxoSet& utxo,
         throw;
     }
     return undo;
+}
+
+Block assemble_block(const BlockHeader& header, Mempool& pool, const UtxoSet& state,
+                     std::size_t max_block_bytes, std::size_t max_txs,
+                     std::optional<std::uint64_t> coinbase_salt) {
+    Block block;
+    block.header = header;
+    pool.expire(header.timestamp);
+    const std::size_t budget = max_block_bytes > 512 ? max_block_bytes - 512 : max_block_bytes;
+    // Feerate-ordered straight off the pool's maintained index; only the
+    // transactions that stay valid in order are copied into the block.
+    const auto candidates = pool.build_template(budget, max_txs);
+    UtxoSet scratch = state;
+    UtxoUndo scratch_undo;
+    Amount fees = 0;
+    std::vector<Transaction> chosen;
+    for (const auto& entry : candidates) {
+        try {
+            fees += scratch.check_and_apply(*entry.tx, scratch_undo);
+            chosen.push_back(*entry.tx);
+        } catch (const ValidationError&) {
+            // Stale pool entry (already spent on this branch); skip it.
+        }
+    }
+    const std::uint64_t height = header.height;
+    Transaction coinbase = make_coinbase(header.proposer, block_subsidy(height) + fees, height);
+    if (coinbase_salt) {
+        coinbase.nonce = *coinbase_salt;
+        coinbase.invalidate_txid_cache();
+    }
+    block.txs.push_back(std::move(coinbase));
+    for (auto& tx : chosen) block.txs.push_back(std::move(tx));
+    block.header.merkle_root = block.compute_merkle_root();
+    block.header.invalidate_hash_cache();
+    return block;
 }
 
 } // namespace dlt::ledger

@@ -4,11 +4,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "ledger/block.hpp"
 #include "ledger/utxo.hpp"
 
 namespace dlt::ledger {
+
+class Mempool;
 
 /// How thoroughly to check signatures. Full ECDSA on every input reproduces
 /// real node behaviour; kSkip lets throughput experiments isolate consensus
@@ -45,5 +48,15 @@ bool verify_batch_signatures(const std::vector<Transaction>& txs);
 /// undo data. Throws ValidationError; the UTXO set is unchanged on failure.
 UtxoUndo connect_block(const Block& block, UtxoSet& utxo,
                        const ValidationRules& rules);
+
+/// A block on `header` (all but the merkle root set): the pool's fee-ordered
+/// candidates that apply in order on a copy of `state`, within the limits
+/// (less 512 bytes for header and coinbase), after a coinbase paying subsidy
+/// plus fees to header.proposer. Expires the pool first. `coinbase_salt`
+/// becomes the coinbase's nonce (parallel DAG records share height,
+/// proposer and reward).
+Block assemble_block(const BlockHeader& header, Mempool& pool, const UtxoSet& state,
+                     std::size_t max_block_bytes, std::size_t max_txs,
+                     std::optional<std::uint64_t> coinbase_salt = std::nullopt);
 
 } // namespace dlt::ledger

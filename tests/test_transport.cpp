@@ -901,6 +901,64 @@ TEST(ReplicaSim, PbftVotesBindToDigest) {
     replica.stop();
 }
 
+// A peer that floods well-formed blocks naming unknown parents fills the
+// orphan pool only up to its bound, and the replica still follows the honest
+// chain afterwards.
+TEST(ReplicaSim, NakamotoOrphanFloodStaysBounded) {
+    TempDir dirs("replica-orphans");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(5));
+    SimTransportHub hub(network, 4); // replicas 0..2, attacker 3
+    network.build_full_mesh();
+    std::vector<std::unique_ptr<core::Replica>> replicas;
+    for (std::uint32_t id = 0; id < 3; ++id) {
+        core::ReplicaConfig config;
+        config.engine = core::ReplicaEngine::kNakamoto;
+        config.node_count = 3;
+        config.block_interval = 1.0;
+        config.data_dir = dirs.path / ("n" + std::to_string(id));
+        replicas.push_back(std::make_unique<core::Replica>(hub.endpoint(id), config));
+    }
+    for (auto& r : replicas) r->start();
+    scheduler.run_until(5.0);
+
+    constexpr std::size_t kCap = consensus::NakamotoEngine::kMaxOrphans;
+    Transport& attacker = hub.endpoint(3);
+    ledger::Mempool empty;
+    for (std::size_t i = 0; i < 3 * kCap; ++i) {
+        ledger::BlockHeader header;
+        header.prev_hash = crypto::sha256(to_bytes("nowhere/" + std::to_string(i)));
+        header.height = 50 + i;
+        header.bits = 0x207fffff;
+        const ledger::Block block =
+            ledger::assemble_block(header, empty, ledger::UtxoSet{}, 1'000'000, 10);
+        attacker.send(0, "block", ByteView(encode_to_bytes(block)));
+    }
+    scheduler.run_until(6.0);
+    EXPECT_EQ(replicas[0]->orphan_blocks(), kCap);
+
+    const std::uint64_t height_before = replicas[1]->height();
+    scheduler.run_until(30.0);
+    EXPECT_LE(replicas[0]->orphan_blocks(), kCap);
+    for (auto& r : replicas) r->stop();
+    scheduler.run_until(31.0);
+    EXPECT_GT(replicas[1]->height(), height_before);
+    // Stopped replicas drop blocks still in flight, so tips may differ by
+    // the last block: compare the chains at the lowest height.
+    std::uint64_t common = replicas[0]->height();
+    std::uint64_t highest = common;
+    for (auto& r : replicas) {
+        common = std::min(common, r->height());
+        highest = std::max(highest, r->height());
+    }
+    EXPECT_LE(highest, common + 1); // replica 0 did not fall behind
+    const auto block_at = [&](core::Replica& r) {
+        return r.node().chain().ancestor(r.tip(), r.height() - common);
+    };
+    EXPECT_EQ(block_at(*replicas[0]), block_at(*replicas[1]));
+    EXPECT_EQ(block_at(*replicas[2]), block_at(*replicas[1]));
+}
+
 // An own submission the pool sheds unconfirmed must not stay tracked as
 // awaiting confirmation.
 TEST(ReplicaSim, EvictedOwnSubmissionIsForgotten) {
