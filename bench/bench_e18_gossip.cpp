@@ -1,7 +1,8 @@
 // E18 — §2.3 (P2P dissemination): gossip propagation time grows slowly
 // (logarithmically) with network size; fanout trades redundancy (bandwidth)
 // against propagation speed and delivery ratio.
-#include <memory>
+#include <cstdio>
+#include <string>
 
 #include "bench_util.hpp"
 #include "net/gossip.hpp"
@@ -63,11 +64,22 @@ int main() {
                  "Claim: multi-round gossip reaches the whole unstructured "
                  "overlay in O(log n) time; fanout trades bandwidth for speed.");
 
+    // Flooding must reach every node: a flood row below full delivery breaks
+    // the claim (and the exit code), named on stderr.
+    bool claim_holds = true;
+    const auto check_flood = [&](const std::string& row, const RunResult& r) {
+        if (r.delivery >= 1.0) return;
+        std::fprintf(stderr, "E18 claim broken: flood row %s delivered %.4f\n",
+                     row.c_str(), r.delivery);
+        claim_holds = false;
+    };
+
     std::printf("Network-size sweep (flooding, degree-6 overlay, 50 ms links):\n");
     {
         bench::Table table({"nodes", "t50-ms", "t99-ms", "delivery", "msgs/broadcast"});
         for (const std::size_t n : {16u, 64u, 256u, 1024u}) {
             const RunResult r = run(n, 0, 1800 + n);
+            check_flood("nodes=" + std::to_string(n), r);
             table.row({bench::fmt_int(n),
                        r.t50 >= 0 ? bench::fmt(r.t50 * 1000, 0) : "-",
                        r.t99 >= 0 ? bench::fmt(r.t99 * 1000, 0) : "-",
@@ -81,6 +93,7 @@ int main() {
         bench::Table table({"fanout", "t99-ms", "delivery", "msgs/broadcast"});
         for (const std::size_t fanout : {1u, 2u, 3u, 4u, 0u}) {
             const RunResult r = run(256, fanout, 1900 + fanout);
+            if (fanout == 0) check_flood("fanout=flood", r);
             table.row({fanout == 0 ? "flood" : bench::fmt_int(fanout),
                        r.t99 >= 0 ? bench::fmt(r.t99 * 1000, 0) : "incomplete",
                        bench::fmt(r.delivery, 3), bench::fmt_int(r.messages)});
@@ -91,5 +104,5 @@ int main() {
     std::printf("\nExpected shape: t99 grows ~logarithmically across a 64x size "
                 "increase; low fanout saves messages but risks partial delivery, "
                 "flooding maximizes both cost and coverage.\n");
-    return 0;
+    return claim_holds ? 0 : 1;
 }

@@ -83,6 +83,9 @@ Replica::Replica(net::transport::Transport& transport, ReplicaConfig config)
     : transport_(transport),
       config_(std::move(config)),
       rng_(config_.seed + 0x9e3779b97f4a7c15ull * (transport.local_id() + 1)),
+      relay_(transport_, /*fanout=*/0, rng_,
+             [this](PeerId from, const std::string& topic, const Hash256&,
+                    ByteView payload) { return on_flood(from, topic, payload); }),
       node_(config_.data_dir,
             ledger::make_genesis(config_.chain_tag, config_.genesis_bits),
             node_options(config_)),
@@ -117,12 +120,8 @@ Replica::Replica(net::transport::Transport& transport, ReplicaConfig config)
         params.validation = rules_;
         params.chain_tag = config_.chain_tag;
         consensus::NakamotoEngine::Hooks hooks;
-        hooks.flood = [this](const Block& block, PeerId from) {
-            const Bytes wire = encode_to_bytes(block);
-            if (from == transport_.local_id())
-                transport_.broadcast("block", ByteView(wire));
-            else
-                transport_.broadcast_except(from, "block", ByteView(wire));
+        hooks.flood = [this](const Block& block) {
+            relay_.publish("block", ByteView(encode_to_bytes(block)));
         };
         hooks.reorged = [this](const auto&, const auto&) { repair_left_out(); };
         nakamoto_ = std::make_unique<consensus::NakamotoEngine>(
@@ -247,24 +246,27 @@ bool Replica::submit_transaction(const Transaction& tx) {
 void Replica::flush_own() {
     if (batch_timer_) transport_.cancel_timer(*batch_timer_);
     batch_timer_.reset();
-    if (!own_batch_.empty()) transport_.broadcast("txs", ByteView(own_batch_.take()));
+    if (!own_batch_.empty()) relay_.publish("txs", ByteView(own_batch_.take()));
 }
 
-void Replica::receive_batch(PeerId from, ByteView payload, bool repair) {
-    TxBatch onward;
-    // In a full mesh the submitter's fan-out already reached every peer, so
-    // only a repair is forwarded there.
-    const bool relay = !full_mesh();
+bool Replica::on_flood(PeerId from, const std::string& topic, ByteView payload) {
+    if (from == transport_.local_id()) return true; // own message: applied already
+    if (topic == "block") return nakamoto_ && nakamoto_->handle(from, topic, payload);
+    return receive_batch(payload, topic == "txr");
+}
+
+bool Replica::receive_batch(ByteView payload, bool repair) {
+    bool admitted_any = false;
+    bool pooled_any = false;
     for (const Transaction& tx : decode_tx_batch(payload, config_.max_block_bytes)) {
         const Hash256 txid = tx.txid();
-        const bool admitted =
-            seen_txs_.insert(txid).second && mempool_.add(tx, transport_.now());
-        if (repair ? mempool_.contains(txid) : admitted && relay)
-            onward.add(ByteView(encode_to_bytes(tx)));
+        if (seen_txs_.insert(txid).second && mempool_.add(tx, transport_.now()))
+            admitted_any = true;
+        if (repair && mempool_.contains(txid)) pooled_any = true;
     }
-    // A subset of a batch never outgrows it, so `onward` fits the limit too.
-    if (!onward.empty())
-        transport_.broadcast_except(from, "txs", ByteView(onward.take()));
+    // In a full mesh the submitter's fan-out already reached every peer, so
+    // only a repair goes on there.
+    return repair ? pooled_any : admitted_any && !full_mesh();
 }
 
 void Replica::connect(const Block& block) {
@@ -300,18 +302,18 @@ void Replica::repair_left_out() {
             if (const Transaction* tx = mempool_.find(it->first)) {
                 const Bytes encoded = encode_to_bytes(*tx);
                 if (!due.fits(encoded.size(), config_.max_block_bytes))
-                    transport_.broadcast("txr", ByteView(due.take()));
+                    relay_.publish("txr", ByteView(due.take()));
                 due.add(ByteView(encoded));
             }
         }
         repair_queue_.pop_front();
     }
-    if (!due.empty()) transport_.broadcast("txr", ByteView(due.take()));
+    if (!due.empty()) relay_.publish("txr", ByteView(due.take()));
 }
 
 void Replica::on_message(PeerId from, const std::string& topic, ByteView payload) {
-    if (topic == "txs" || topic == "txr") { // "txr": the submitter's repair
-        if (running_) receive_batch(from, payload, topic == "txr");
+    if (topic == "block" || topic == "txs" || topic == "txr") { // flooded
+        if (running_) relay_.receive(from, topic, payload);
         return;
     }
 

@@ -11,13 +11,14 @@
 //     block_interval in expectation), a branch index over every block seen,
 //     most-work fork choice (ties to the lower hash) with the fallback off an
 //     invalid branch, and reorgs applied to the PersistentNode with rollback.
-//     Own blocks go to every peer and a received block that joins the index
-//     goes on to every peer but its sender ("block"). A block with an unknown
-//     parent waits in a bounded orphan pool while its ancestry is fetched
-//     hop by hop ("d/getblock" answered by "d/block" or "d/notfound"); every
-//     sync_interval the replica re-asks for missing parents and asks a
-//     random peer for its tip ("gettip"), which is also the catch-up path
-//     after a restart or partition. Only a ValidationError from connecting a
+//     Blocks travel on the replica's relay ("block"): an own block is
+//     published, a received one goes on when it joined the index, and a
+//     duplicate frame is dropped by id before it is decoded. A block with an
+//     unknown parent waits in a bounded orphan pool while its ancestry is
+//     fetched hop by hop ("d/getblock" answered by "d/block" or
+//     "d/notfound"); every sync_interval the replica re-asks for missing
+//     parents and asks a random peer for its tip ("gettip"), which is also
+//     the catch-up path after a restart or partition. Only a ValidationError from connecting a
 //     block marks it invalid; a disk error leaves it eligible.
 //
 //   kPbft — consensus::PbftEngine, the PBFT the simulator's PbftCluster runs
@@ -29,28 +30,29 @@
 //     the engine's executed height. The view-change timer is armed from the
 //     sync tick and from block events, never per transaction.
 //
-// Transaction relay. Txs travel in batches: a "txs" payload is a varint count
-// followed by the txs' own encodings (a block's tx-list layout), and every
-// gossip path uses that one codec. A replica's own submissions collect in a
-// pending batch; the first one arms a timer, and the batch goes to every peer
+// Transaction relay. "block", "txs" and "txr" travel on one net::Relay (the
+// flood GossipOverlay runs too; src/net/README.md): framed once as a 32-byte
+// id || payload, handled once per replica, and sent on, whole and under its
+// id, to every peer but the sender when on_flood() says so. Txs travel in
+// batches: a "txs" payload is a varint count followed by the txs' own
+// encodings (a block's tx-list layout). A replica's own submissions collect
+// in a pending batch; the first one arms a timer, and the batch is published
 // when it fires, min(block_interval / 64, 5 ms) later, or earlier once it
-// would outgrow max_block_bytes. stop() sends a pending batch, and a
+// would outgrow max_block_bytes. stop() publishes a pending batch, and a
 // submission to a stopped replica leaves at once, so a tx already
-// acknowledged to its client still leaves the node. A received batch
-// is decoded whole before anything in it is admitted (a malformed one is
+// acknowledged to its client still leaves the node. A received batch is
+// decoded whole before anything in it is admitted (a malformed one is
 // dropped), then each tx goes through the seen-set and the mempool. In a full
 // mesh (peer_ids().size() + 1 == node_count) the submitter's fan-out already
-// reaches every replica, so nothing is relayed: 3 frames per batch on 4
-// nodes. Partial meshes keep flooding: the admitted subset goes on as one
-// "txs" to every peer but the sender.
+// reaches every replica, so a "txs" goes no further: 3 frames per batch on 4
+// nodes. In a partial mesh a "txs" goes on when it admitted something.
 // Repair: an own submission still in the mempool is due once it has waited
-// 2 * block_interval, about two blocks' time. Due txs go out once, together,
-// as a "txr" batch. A peer admits the ones that are new and forwards the part
-// that is then in its mempool as one "txs" to every peer but the sender, so a
-// cut submitter<->producer link is routed around in one hop. The check runs
-// after every connected block and, for PBFT, on every sync tick too: a PBFT
-// cluster with nothing else to propose connects no block, and the repair
-// must not wait for one.
+// 2 * block_interval, about two blocks' time. Due txs are published once,
+// together, as a "txr" batch, which a peer admits and sends on when any of
+// its txs is then in that peer's mempool, so a cut submitter<->producer link
+// is routed around in one hop. The check runs after every connected block
+// and, for PBFT, on every sync tick too: a PBFT cluster with nothing else to
+// propose connects no block, and the repair must not wait for one.
 //
 // Durability comes from core::PersistentNode: every connect/disconnect is
 // WAL-journaled under ReplicaConfig::data_dir, so a SIGKILLed replica reopens
@@ -77,6 +79,7 @@
 #include "core/persistent_node.hpp"
 #include "ledger/mempool.hpp"
 #include "ledger/validation.hpp"
+#include "net/relay.hpp"
 #include "net/transport/transport.hpp"
 
 namespace dlt::core {
@@ -164,10 +167,12 @@ private:
     bool full_mesh() const;
     /// Send own submissions that are due for repair as "txr" batches.
     void repair_left_out();
-    /// Send the pending own-submission batch (if any) to every peer.
+    /// Publish the pending own-submission batch (if any).
     void flush_own();
-    /// Admit a received "txs"/"txr" batch and relay or forward its share.
-    void receive_batch(net::transport::PeerId from, ByteView payload, bool repair);
+    /// The relay's verdict on a first-seen "block", "txs" or "txr" frame.
+    bool on_flood(net::transport::PeerId from, const std::string& topic, ByteView payload);
+    /// Admit a received "txs"/"txr" batch; true when it goes on.
+    bool receive_batch(ByteView payload, bool repair);
 
     // PBFT -------------------------------------------------------------------
     void pbft_propose();
@@ -178,6 +183,8 @@ private:
     ReplicaConfig config_;
     ledger::ValidationRules rules_;
     Rng rng_;
+    /// The flood every "block", "txs" and "txr" message travels on.
+    net::Relay relay_;
 
     PersistentNode node_;
     ledger::Mempool mempool_;
@@ -218,11 +225,10 @@ private:
     /// Own submissions in admission order; each is checked for repair once,
     /// when it falls due.
     std::deque<Hash256> repair_queue_;
-    /// Every txid ever admitted, relayed, or seen on a connected block. The
-    /// simulator's gossip overlay deduplicates deliveries at the overlay
-    /// layer; over raw sockets a late relay would re-admit a tx that already
-    /// confirmed (record txs carry no UTXO conflict to stop a second
-    /// inclusion), so the replica suppresses re-entry itself.
+    /// Every txid ever admitted or seen on a connected block. The relay
+    /// deduplicates frames, not txs: one tx can arrive in its batch and again
+    /// in a repair, after it confirmed (record txs carry no UTXO conflict to
+    /// stop a second inclusion), so the replica suppresses re-entry itself.
     std::unordered_set<Hash256> seen_txs_;
     std::vector<double> latencies_;
     std::uint64_t confirmed_txs_ = 0;

@@ -4,130 +4,64 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/serialize.hpp"
 
 namespace dlt::net {
 
-namespace {
-/// Frame: message id || payload. The id is carried explicitly so relays don't
-/// have to re-derive it from (topic, payload) and so distinct broadcasts of
-/// identical payloads stay distinguishable. Framed once per broadcast; every
-/// hop and delivery shares this one buffer.
-std::shared_ptr<const Bytes> frame_message(const Hash256& id, const Bytes& payload) {
-    Bytes framed;
-    framed.reserve(32 + payload.size());
-    append(framed, id.view());
-    append(framed, payload);
-    return std::make_shared<const Bytes>(std::move(framed));
-}
-} // namespace
-
 GossipOverlay::GossipOverlay(Network& network, std::size_t node_count,
                              GossipParams params, Handler handler)
-    : network_(&network), params_(params), handler_(std::move(handler)) {
-    auto& registry = obs::MetricsRegistry::global();
-    broadcasts_ = &registry.counter("gossip_broadcasts_total",
-                                    "Messages injected into the overlay");
-    accepts_ = &registry.counter("gossip_accepts_total",
-                                 "First-time deliveries across all nodes");
-    dedup_hits_ = &registry.counter("gossip_dedup_hits_total",
-                                    "Frames discarded as already seen");
-    DLT_EXPECTS(network.node_count() == 0);
+    : network_(&network), handler_(std::move(handler)), hub_(network, node_count) {
     DLT_EXPECTS(node_count >= 2);
     DLT_EXPECTS(handler_ != nullptr);
-    seen_.resize(node_count);
-    for (std::size_t i = 0; i < node_count; ++i) {
-        const NodeId id = network.add_node(
-            [this, node = static_cast<NodeId>(i)](const Delivery& d) {
-                on_delivery(node, d);
+    for (NodeId node = 0; node < node_count; ++node) {
+        // Every frame goes on before the handler validates it, as gossip
+        // always has here: the verdict is always true.
+        relays_.emplace_back(
+            hub_.endpoint(node), params.fanout, network.rng(),
+            [this, node](NodeId from, const std::string& topic, const Hash256& id,
+                         ByteView payload) {
+                auto& rec = records_[id];
+                ++rec.delivered;
+                rec.arrival.emplace(node, network_->scheduler().now());
+                handler_(node, from, topic, payload);
+                return true;
             });
-        DLT_ENSURES(id == i);
+        hub_.endpoint(node).set_handler(
+            [this, node](NodeId from, const std::string& topic, ByteView payload) {
+                if (is_direct_topic(topic)) // point-to-point: no dedup, no relay
+                    handler_(node, from, topic, payload);
+                else
+                    relays_[node].receive(from, topic, payload);
+            });
     }
 }
 
 Hash256 GossipOverlay::broadcast(NodeId origin, const std::string& topic,
                                  const Bytes& payload) {
-    DLT_EXPECTS(origin < seen_.size());
+    DLT_EXPECTS(origin < relays_.size());
     DLT_EXPECTS(!is_direct_topic(topic));
-    // Unique id: hash over topic, payload, origin, and injection time.
-    Writer w;
-    w.str(topic);
-    w.blob(payload);
-    w.u32(origin);
-    w.f64(network_->scheduler().now());
-    const Hash256 id = crypto::tagged_hash("dlt/gossip-id", w.data());
-
+    const Hash256 id = relays_[origin].publish(topic, ByteView(payload));
     records_[id].origin_time = network_->scheduler().now();
-    broadcasts_->inc();
-    accept(origin, origin, id, topic, frame_message(id, payload));
     return id;
 }
 
 void GossipOverlay::send_direct(NodeId from, NodeId to, const std::string& topic,
                                 const Bytes& payload) {
-    DLT_EXPECTS(from < seen_.size() && to < seen_.size());
+    DLT_EXPECTS(from < relays_.size() && to < relays_.size());
     DLT_EXPECTS(is_direct_topic(topic));
     // The link may have churned away since the triggering message was sent;
-    // a real peer's reply would hit a closed socket, so drop silently.
-    if (!network_->connected(from, to)) return;
-    network_->send(from, to, topic, payload);
+    // a real peer's reply would hit a closed socket: the send drops it.
+    hub_.endpoint(from).send(to, topic, ByteView(payload));
 }
 
-void GossipOverlay::on_delivery(NodeId at, const Delivery& d) {
-    if (is_direct_topic(d.topic)) { // point-to-point: no dedup, no relay
-        handler_(at, d.from, d.topic, ByteView{d.payload()});
-        return;
+void GossipOverlay::set_relay_filter(RelayFilter filter) {
+    for (NodeId node = 0; node < relays_.size(); ++node) {
+        Relay::Filter at_node; // empty clears
+        if (filter)
+            at_node = [filter, node](NodeId to, const std::string& topic) {
+                return filter(node, to, topic);
+            };
+        relays_[node].set_filter(std::move(at_node));
     }
-    if (d.payload().size() < 32) return; // malformed frame
-    const Hash256 id = Hash256::from_bytes(ByteView{d.payload().data(), 32});
-    if (seen_[at].contains(id)) {
-        dedup_hits_->inc();
-        return;
-    }
-    accept(at, d.from, id, d.topic, d.body);
-}
-
-void GossipOverlay::accept(NodeId at, NodeId from, const Hash256& id,
-                           const std::string& topic,
-                           const std::shared_ptr<const Bytes>& framed) {
-    seen_[at].insert(id);
-
-    accepts_->inc();
-    auto& rec = records_[id];
-    ++rec.delivered;
-    rec.arrival.emplace(at, network_->scheduler().now());
-
-    handler_(at, from, topic, ByteView{*framed}.subspan(32)); // zero-copy payload view
-    relay(at, from, topic, framed);
-}
-
-void GossipOverlay::relay(NodeId at, NodeId skip, const std::string& topic,
-                          const std::shared_ptr<const Bytes>& framed) {
-    const auto& peers = network_->neighbors(at);
-    if (peers.empty()) return;
-    const auto allowed = [&](NodeId p) {
-        return p != skip && (!relay_filter_ || relay_filter_(at, p, topic));
-    };
-    if (params_.fanout == 0 || params_.fanout >= peers.size()) {
-        // Flood every neighbor except the one the frame arrived from: echoing
-        // it back is pure waste (the sender has it by construction).
-        for (const NodeId p : peers)
-            if (allowed(p)) network_->send(at, p, topic, framed);
-        return;
-    }
-    // Sample `fanout` distinct neighbors, never wasting a slot on the sender.
-    std::vector<NodeId> candidates;
-    candidates.reserve(peers.size());
-    for (const NodeId p : peers)
-        if (allowed(p)) candidates.push_back(p);
-    if (candidates.empty()) return;
-    if (params_.fanout >= candidates.size()) {
-        for (const NodeId p : candidates) network_->send(at, p, topic, framed);
-        return;
-    }
-    network_->rng().shuffle(candidates);
-    for (std::size_t i = 0; i < params_.fanout; ++i)
-        network_->send(at, candidates[i], topic, framed);
 }
 
 const PropagationRecord* GossipOverlay::record(const Hash256& id) const {
@@ -137,8 +71,8 @@ const PropagationRecord* GossipOverlay::record(const Hash256& id) const {
 
 double GossipOverlay::delivery_ratio(const Hash256& id) const {
     const PropagationRecord* rec = record(id);
-    if (rec == nullptr || seen_.empty()) return 0.0;
-    return static_cast<double>(rec->delivered) / static_cast<double>(seen_.size());
+    if (rec == nullptr || relays_.empty()) return 0.0;
+    return static_cast<double>(rec->delivered) / static_cast<double>(relays_.size());
 }
 
 std::optional<SimTime> GossipOverlay::time_to_quantile(const Hash256& id,
@@ -147,7 +81,7 @@ std::optional<SimTime> GossipOverlay::time_to_quantile(const Hash256& id,
     const PropagationRecord* rec = record(id);
     if (rec == nullptr) return std::nullopt;
     const std::size_t needed = static_cast<std::size_t>(
-        std::ceil(quantile * static_cast<double>(seen_.size())));
+        std::ceil(quantile * static_cast<double>(relays_.size())));
     if (rec->arrival.size() < needed || needed == 0) return std::nullopt;
     std::vector<SimTime> times;
     times.reserve(rec->arrival.size());

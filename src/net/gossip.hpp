@@ -1,20 +1,21 @@
 // Gossip broadcast (paper §2.3): peers relay new data to a random subset of
 // neighbors over multiple rounds, deduplicating by message id, until the whole
 // overlay has seen it. This is the dissemination primitive blocks and
-// transactions ride on; E18 measures its propagation behaviour. Relays never
-// echo a frame back to the peer it arrived from.
+// transactions ride on; E18 measures its propagation behaviour. The overlay is
+// one net::Relay per node over a SimTransportHub (the flood a deployed
+// core::Replica runs too), plus per-message propagation records.
 #pragma once
 
+#include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/sha256.hpp"
 #include "net/network.hpp"
+#include "net/relay.hpp"
+#include "net/transport/sim_transport.hpp"
 
 namespace dlt::net {
 
@@ -49,7 +50,11 @@ public:
                   Handler handler);
 
     /// Number of nodes this overlay manages (== network node count at creation).
-    std::size_t node_count() const { return seen_.size(); }
+    std::size_t node_count() const { return relays_.size(); }
+
+    /// Node `node`'s endpoint: what a per-node engine sends direct messages
+    /// and sets timers through. Its deliveries belong to the overlay.
+    transport::Transport& endpoint(NodeId node) { return hub_.endpoint(node); }
 
     /// Inject a message at `origin`; it is delivered locally and relayed.
     /// Returns the message id used for tracking. The topic must not carry the
@@ -74,7 +79,7 @@ public:
     /// no delivery).
     using RelayFilter =
         std::function<bool(NodeId at, NodeId to, const std::string& topic)>;
-    void set_relay_filter(RelayFilter filter) { relay_filter_ = std::move(filter); }
+    void set_relay_filter(RelayFilter filter);
 
     /// Propagation telemetry for a message id (empty when unknown).
     const PropagationRecord* record(const Hash256& id) const;
@@ -91,20 +96,10 @@ private:
         return topic.size() >= 2 && topic[0] == 'd' && topic[1] == '/';
     }
 
-    void on_delivery(NodeId at, const Delivery& d);
-    void relay(NodeId at, NodeId skip, const std::string& topic,
-               const std::shared_ptr<const Bytes>& framed);
-    void accept(NodeId at, NodeId from, const Hash256& id, const std::string& topic,
-                const std::shared_ptr<const Bytes>& framed);
-
     Network* network_;
-    GossipParams params_;
     Handler handler_;
-    RelayFilter relay_filter_;
-    obs::Counter* broadcasts_ = nullptr;  // gossip_broadcasts_total
-    obs::Counter* accepts_ = nullptr;     // gossip_accepts_total
-    obs::Counter* dedup_hits_ = nullptr;  // gossip_dedup_hits_total
-    std::vector<std::unordered_set<Hash256>> seen_; // per node
+    transport::SimTransportHub hub_;
+    std::deque<Relay> relays_; // per node; they hold hub endpoints
     std::unordered_map<Hash256, PropagationRecord> records_;
 };
 

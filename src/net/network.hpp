@@ -59,10 +59,6 @@ struct Delivery {
 
     Delivery(NodeId from_, std::string topic_, std::shared_ptr<const Bytes> body_)
         : from(from_), topic(std::move(topic_)), body(std::move(body_)) {}
-    Delivery(NodeId from_, std::string topic_, Bytes payload_)
-        : from(from_),
-          topic(std::move(topic_)),
-          body(std::make_shared<const Bytes>(std::move(payload_))) {}
 
     const Bytes& payload() const { return *body; }
 };
@@ -157,9 +153,6 @@ public:
     void send(NodeId from, NodeId to, std::string topic, Bytes payload);
     void send(NodeId from, NodeId to, std::string topic,
               std::shared_ptr<const Bytes> payload);
-
-    /// Convenience: send to every neighbor (one shared buffer, zero copies).
-    void send_to_neighbors(NodeId from, const std::string& topic, const Bytes& payload);
 
     /// Crash / recover a node (fail-stop model for PBFT fault experiments).
     /// A crashed node neither receives nor originates traffic; in-flight

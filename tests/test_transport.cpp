@@ -16,6 +16,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "crypto/sha256.hpp"
 #include "ledger/amount.hpp"
 #include "ledger/validation.hpp"
+#include "net/relay.hpp"
 #include "net/transport/frame.hpp"
 #include "net/transport/sim_transport.hpp"
 #include "net/transport/tcp_transport.hpp"
@@ -54,6 +56,14 @@ struct TempDir {
 
 std::uint64_t counter_value(const std::string& name) {
     return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/// A relay frame as a raw peer sends it: a 32-byte message id named by
+/// `tag`, then the payload.
+Bytes relay_frame(const std::string& tag, ByteView payload) {
+    Bytes frame = crypto::sha256(to_bytes("relay-frame/" + tag)).bytes();
+    append(frame, payload);
+    return frame;
 }
 
 /// Spin until `pred` holds or `timeout_s` elapses; returns the final verdict.
@@ -702,6 +712,84 @@ TEST(TransportEquivalence, BroadcastSequenceSameDigestsSimAndTcp) {
     EXPECT_EQ(sim_digests[1], tcp_digests[1]);
     EXPECT_EQ(sim_digests[1], tcp_digests[2]);
     EXPECT_NE(sim_digests[1], Hash256{}); // something actually arrived
+
+    // The same sequence published through one net::Relay per node: every
+    // node hands each message to its handler once, in the same order on
+    // both backends, although every frame also reaches it a second time
+    // through the third node.
+    Rng unused(0);
+    std::vector<Hash256> sim_relayed(3);
+    {
+        sim::Scheduler scheduler;
+        net::Network network(scheduler, Rng(1));
+        SimTransportHub hub(network, 3);
+        net::LinkParams fifo;
+        fifo.latency_jitter = 0.0;
+        network.build_full_mesh(fifo);
+        std::deque<net::Relay> relays;
+        for (std::uint32_t id = 0; id < 3; ++id) {
+            relays.emplace_back(hub.endpoint(id), 0, unused,
+                                [&, id](PeerId from, const std::string& topic,
+                                        const Hash256&, ByteView body) {
+                                    if (from != id) fold(sim_relayed[id], topic, body);
+                                    return true;
+                                });
+            hub.endpoint(id).set_handler(
+                [&, id](PeerId from, const std::string& topic, ByteView frame) {
+                    relays[id].receive(from, topic, frame);
+                });
+        }
+        for (int i = 0; i < kMessages; ++i)
+            scheduler.schedule_after(0.01 * static_cast<double>(i), [&, i] {
+                relays[0].publish("seq" + std::to_string(i % 3), ByteView(payloads[i]));
+            });
+        scheduler.run_until(60.0);
+    }
+    std::vector<Hash256> tcp_relayed(3);
+    {
+        TcpTransport t0(tcp_config(0, {{1, "127.0.0.1", 0}, {2, "127.0.0.1", 0}}));
+        TcpTransport t1(tcp_config(1, {{0, "127.0.0.1", t0.listen_port()},
+                                       {2, "127.0.0.1", 0}}));
+        TcpTransport t2(tcp_config(2, {{0, "127.0.0.1", t0.listen_port()},
+                                       {1, "127.0.0.1", t1.listen_port()}}));
+        std::vector<Transport*> transports{&t0, &t1, &t2};
+        std::atomic<int> received{0};
+        std::deque<net::Relay> relays;
+        for (std::uint32_t id = 0; id < 3; ++id) {
+            relays.emplace_back(*transports[id], 0, unused,
+                                [&, id](PeerId from, const std::string& topic,
+                                        const Hash256&, ByteView body) {
+                                    if (from != id) {
+                                        fold(tcp_relayed[id], topic, body);
+                                        ++received;
+                                    }
+                                    return true;
+                                });
+            transports[id]->set_handler(
+                [&, id](PeerId from, const std::string& topic, ByteView frame) {
+                    relays[id].receive(from, topic, frame);
+                });
+        }
+        t0.start();
+        t1.start();
+        t2.start();
+        ASSERT_TRUE(eventually(5.0, [&] {
+            return t0.connected_peers() == 2 && t1.connected_peers() == 2 &&
+                   t2.connected_peers() == 2;
+        }));
+        t0.post([&] { // relays run on their transport's loop thread
+            for (int i = 0; i < kMessages; ++i)
+                relays[0].publish("seq" + std::to_string(i % 3), ByteView(payloads[i]));
+        });
+        ASSERT_TRUE(eventually(10.0, [&] { return received == 2 * kMessages; }));
+        t0.shutdown();
+        t1.shutdown();
+        t2.shutdown();
+    }
+    EXPECT_EQ(sim_relayed[1], sim_digests[1]); // as if sent point to point
+    EXPECT_EQ(sim_relayed[2], sim_digests[1]);
+    EXPECT_EQ(tcp_relayed[1], sim_relayed[1]);
+    EXPECT_EQ(tcp_relayed[2], sim_relayed[1]);
 }
 
 // --- Replicas over the sim backend -------------------------------------------
@@ -932,7 +1020,9 @@ TEST(ReplicaSim, NakamotoOrphanFloodStaysBounded) {
         header.bits = 0x207fffff;
         const ledger::Block block =
             ledger::assemble_block(header, empty, ledger::UtxoSet{}, 1'000'000, 10);
-        attacker.send(0, "block", ByteView(encode_to_bytes(block)));
+        attacker.send(0, "block",
+                      ByteView(relay_frame("orphan/" + std::to_string(i),
+                                           ByteView(encode_to_bytes(block)))));
     }
     scheduler.run_until(6.0);
     EXPECT_EQ(replicas[0]->orphan_blocks(), kCap);
@@ -957,6 +1047,52 @@ TEST(ReplicaSim, NakamotoOrphanFloodStaysBounded) {
     };
     EXPECT_EQ(block_at(*replicas[0]), block_at(*replicas[1]));
     EXPECT_EQ(block_at(*replicas[2]), block_at(*replicas[1]));
+}
+
+// The relay drops a frame whose id it has seen before anything decodes it:
+// a second "block" frame under a known id counts as a dedup hit and never
+// reaches NakamotoEngine::handle, even when it carries another block. (In a
+// 4-node mesh that is 6 of the 9 frames each block costs.)
+TEST(ReplicaSim, NakamotoDuplicateBlockFrameNeverReachesTheEngine) {
+    TempDir dirs("replica-dup-block");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(6));
+    SimTransportHub hub(network, 2); // replica 0, raw peer 1
+    network.build_full_mesh();
+    core::ReplicaConfig config;
+    config.engine = core::ReplicaEngine::kNakamoto;
+    config.node_count = 2;
+    config.block_interval = 1e6; // no block of its own in this run
+    config.data_dir = dirs.path / "n0";
+    core::Replica replica(hub.endpoint(0), config);
+    replica.start();
+
+    // Orphans: each one the engine handles stays in the pool, observable.
+    const auto orphan = [](std::uint64_t salt) {
+        ledger::BlockHeader header;
+        header.prev_hash = crypto::sha256(to_bytes("nowhere/" + std::to_string(salt)));
+        header.height = 7;
+        header.bits = 0x207fffff;
+        ledger::Mempool empty;
+        return encode_to_bytes(
+            ledger::assemble_block(header, empty, ledger::UtxoSet{}, 1'000'000, 10));
+    };
+    const std::uint64_t dedup_before = counter_value("gossip_dedup_hits_total");
+    Transport& peer = hub.endpoint(1);
+    peer.send(0, "block", ByteView(relay_frame("dup", ByteView(orphan(1)))));
+    scheduler.run_until(0.2);
+    EXPECT_EQ(replica.orphan_blocks(), 1u);
+
+    peer.send(0, "block", ByteView(relay_frame("dup", ByteView(orphan(1)))));
+    peer.send(0, "block", ByteView(relay_frame("dup", ByteView(orphan(2)))));
+    scheduler.run_until(0.4);
+    EXPECT_EQ(replica.orphan_blocks(), 1u);
+    EXPECT_EQ(counter_value("gossip_dedup_hits_total") - dedup_before, 2u);
+
+    peer.send(0, "block", ByteView(relay_frame("fresh", ByteView(orphan(2)))));
+    scheduler.run_until(0.6);
+    EXPECT_EQ(replica.orphan_blocks(), 2u); // a new id does reach it
+    replica.stop();
 }
 
 // An own submission the pool sheds unconfirmed must not stay tracked as
@@ -1233,14 +1369,19 @@ TEST(ReplicaRelay, MalformedBatchesAdmitNothing) {
     trailing.push_back(0);
     malformed.push_back(trailing);
 
+    // Each payload rides in a relay frame under its own id, so every one of
+    // them reaches the decoder.
     Transport& peer = hub.endpoint(0);
+    std::size_t frames = 0;
     for (const Bytes& payload : malformed)
-        for (const char* topic : {"txs", "txr"}) peer.send(1, topic, ByteView(payload));
+        for (const char* topic : {"txs", "txr"})
+            peer.send(1, topic,
+                      ByteView(relay_frame(std::to_string(frames++), ByteView(payload))));
     scheduler.run_until(1.0);
     EXPECT_EQ(replica.mempool_size(), 0u);
     EXPECT_EQ(sends["txs"], 0);
 
-    peer.send(1, "txs", ByteView(valid));
+    peer.send(1, "txs", ByteView(relay_frame("valid", ByteView(valid))));
     scheduler.run_until(2.0);
     EXPECT_EQ(replica.mempool_size(), std::size_t{kTxs});
     EXPECT_EQ(sends["txs"], 1); // the valid batch goes on to node 2 as one
