@@ -5,6 +5,7 @@
 // these drivers with faults and load; these tests pin each driver alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "consensus/attack.hpp"
@@ -72,6 +73,25 @@ TEST(SelfishMiner, SuperlinearRevenueAboveThreshold) {
                 static_cast<unsigned long long>(s.tie_races),
                 static_cast<unsigned long long>(s.max_lead), revenue);
     EXPECT_GT(revenue, 0.40);
+}
+
+// The orphan walk-back must survive a "d/notfound": in this run a node once
+// stopped at height 370 while the others reached 1,108, its orphans waiting
+// on a parent that nobody was asked for again.
+TEST(SelfishMiner, EveryNodeEndsNearTheHighestTip) {
+    NakamotoParams params = attack_params(10, 0.40, 1);
+    NakamotoNetwork net(params, 902);
+    SelfishMiner selfish(net, 1);
+    net.start();
+    net.run_for(20'000.0);
+    selfish.finish();
+    net.run_for(300.0);
+
+    std::uint64_t highest = 0;
+    for (net::NodeId n = 0; n < net.node_count(); ++n)
+        highest = std::max(highest, net.height_of(n));
+    for (net::NodeId n = 0; n < net.node_count(); ++n)
+        EXPECT_GE(net.height_of(n) + params.finality_depth, highest) << "node " << n;
 }
 
 TEST(SelfishMiner, HonestBaselineMatchesHashShare) {

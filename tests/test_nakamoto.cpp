@@ -332,7 +332,7 @@ TEST(NakamotoGolden, HealedPartition) {
     run_with_load(net, 150, 4.0, 3200);
     EXPECT_TRUE(net.converged());
     EXPECT_EQ(nakamoto_run_digest(net),
-              "18cf97d19d1d6561d6d5ff31a071e01326bfdd2351ddf88cbb88916771c77b89");
+              "7d412742b2058c2888678c4a803328ff53647bedcdbd47a3a4893f5f3a9765e1");
 }
 
 TEST(NakamotoGolden, LeaveRejoinChurn) {
